@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import DcheParams, GaugeMap, VarMap
 from .errors import (
+    DcheunError,
     DegenerateError,
     DomainError,
     MatchFailure,
@@ -36,7 +37,7 @@ from .recurrence import (
     generate_minimal,
     tridiag_eigen,
 )
-from .solutions import build_pair_power
+from .solutions import build_pair_power, power_coeffs
 
 KINDS = ("DOUBLE_MORSE", "SECOND_TYPE")
 
@@ -201,8 +202,6 @@ def _series_pair_id(problem: QesProblem) -> int:
 
 def energy_coeff_factory(problem: QesProblem) -> Callable[[complex], ThreeTermCoeffs]:
     """Recurrence coefficients of the regular series pair as a function of E."""
-    from .solutions import power_coeffs
-
     pair = _series_pair_id(problem)
 
     def factory(energy: complex) -> ThreeTermCoeffs:
@@ -243,7 +242,7 @@ def infinite_spectrum(
     for x in xs:
         try:
             vals.append(complex(char_value(factory(x), depth=depth)).real)
-        except Exception:
+        except (DcheunError, ArithmeticError):
             vals.append(math.nan)
     roots = []
     for i in range(len(xs) - 1):
@@ -252,7 +251,7 @@ def infinite_spectrum(
             continue
         try:
             r = char_root(factory, complex(xs[i]), tol=tol, depth=depth)
-        except Exception:
+        except (DcheunError, ArithmeticError):
             continue
         e = r.x.real
         if not (lo - 1e-9 <= e <= hi + 1e-9):
@@ -376,8 +375,6 @@ def eigenfunction(
     if pair_choice is None:
         pair_choice = _series_pair_id(problem)
     params = problem_params(problem, energy)
-    from .solutions import power_coeffs
-
     tc = power_coeffs(pair_choice, params)
     n_fin = finite_series_condition(pair_choice, params)
     if n_fin is not None:

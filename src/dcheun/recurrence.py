@@ -9,9 +9,10 @@ arise from terminating series.
 from __future__ import annotations
 
 import cmath
-import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,30 +20,24 @@ import numpy as np
 from .core import DcheParams
 from .errors import CFBreakdownError, GenerationError, NoConvergence, TheoremViolation
 
-FORMS = ("STANDARD", "FORM_R1A", "FORM_R2A", "FORM_R3A")
-
 _TINY = 1e-30
 _INTEGER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ThreeTermCoeffs:
-    """Closures (alpha(n), beta(n), gamma(n)) plus the truncation form.
+    """Closures (alpha(n), beta(n), gamma(n)) of the row
 
-    For FORM_R2A and FORM_R3A the value alpha(-1) participates in the
-    first rows; for STANDARD/FORM_R1A it is implicitly zero.  Closures
-    must be pure functions of n.
+        alpha(n) b_{n+1} + beta(n) b_n + gamma(n) b_{n-1} = 0.
+
+    A one-sided series starts at n = 0 with alpha(-1) = 0, so its first
+    row has no gamma(0) column.  Closures must be pure functions of n.
     """
 
     alpha: Callable[[int], complex]
     beta: Callable[[int], complex]
     gamma: Callable[[int], complex]
-    form: str = "STANDARD"
     two_sided: bool = False
-
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown recurrence form {self.form!r}")
 
 
 @dataclass
@@ -66,8 +61,7 @@ class CoeffSeq:
         """Relative residual of each interior recurrence row on re-substitution."""
         out = []
         lo = self.n_min + 1 if self.n_min < 0 else 1
-        start = 2 if coeffs.form == "FORM_R2A" else lo
-        for n in range(start, self.n_max):
+        for n in range(lo, self.n_max):
             terms = (
                 coeffs.alpha(n) * self.b(n + 1),
                 coeffs.beta(n) * self.b(n),
@@ -81,9 +75,10 @@ class CoeffSeq:
 def generate(coeffs: ThreeTermCoeffs, n_max: int, finite_n: Optional[int] = None) -> CoeffSeq:
     """Forward generation of a one-sided sequence with b_0 = 1.
 
-    The first rows follow the selected truncation form.  If ``finite_n``
-    is given the series is a terminating one: exactly N = finite_n
-    coefficients (0 <= n <= N-1) are produced and the finite flag is set.
+    Row 0 reads alpha(0) b_1 + beta(0) b_0 = 0; later rows are the full
+    three-term rows.  If ``finite_n`` is given the series is a terminating
+    one: exactly N = finite_n coefficients (0 <= n <= N-1) are produced
+    and the finite flag is set.
     """
     if coeffs.two_sided:
         raise GenerationError("use generate_two_sided for two-sided coefficients")
@@ -92,29 +87,37 @@ def generate(coeffs: ThreeTermCoeffs, n_max: int, finite_n: Optional[int] = None
     if n_max < 0:
         raise GenerationError("n_max must be >= 0")
     b = [1.0 + 0.0j]
-    if n_max >= 1:
-        a0 = coeffs.alpha(0)
-        if a0 == 0:
-            raise GenerationError("alpha(0) = 0: cannot advance the recurrence")
-        if coeffs.form == "FORM_R3A":
-            b.append(-(coeffs.beta(0) + coeffs.alpha(-1)) / a0)
-        else:
-            b.append(-coeffs.beta(0) / a0)
-    start = 1
-    if coeffs.form == "FORM_R2A" and n_max >= 2:
-        a1 = coeffs.alpha(1)
-        if a1 == 0:
-            raise GenerationError("alpha(1) = 0: cannot advance the recurrence")
-        b.append(-(coeffs.beta(1) * b[1] + (coeffs.alpha(-1) + coeffs.gamma(1)) * b[0]) / a1)
-        start = 2
-    for n in range(start, n_max):
-        if len(b) != n + 1:
-            continue  # row already produced by the special second row
+    for n in range(n_max):
         an = coeffs.alpha(n)
         if an == 0:
             raise GenerationError(f"alpha({n}) = 0: cannot advance the recurrence")
-        b.append(-(coeffs.beta(n) * b[n] + coeffs.gamma(n) * b[n - 1]) / an)
-    return CoeffSeq(values=b[: n_max + 1], finite=finite_n is not None)
+        prev = coeffs.gamma(n) * b[n - 1] if n else 0.0
+        b.append(-(coeffs.beta(n) * b[n] + prev) / an)
+    return CoeffSeq(values=b, finite=finite_n is not None)
+
+
+def _minimal_ratios(num, diag, off, count: int, depth: int) -> list:
+    """Ratios r_k = x_k / x_{k-1}, k = 1..count, of the minimal solution of
+
+        off(k) x_{k+1} + diag(k) x_k + num(k) x_{k-1} = 0,
+
+    by backward recursion r_k = -num(k) / (diag(k) + off(k) r_{k+1})
+    started at r = 0 ``depth`` rows beyond ``count`` (Gautschi, SIAM Rev.
+    9 (1967)), which damps the dominant branch.  The right tail of a
+    recurrence is (gamma, beta, alpha); the left tail is the same
+    recursion under n -> -n with alpha and gamma swapped.
+    """
+    r = 0.0j
+    ratios = []
+    for k in range(count + depth, 0, -1):
+        den = diag(k) + off(k) * r
+        if den == 0:
+            den = _TINY
+        r = -num(k) / den
+        if k <= count:
+            ratios.append(r)
+    ratios.reverse()
+    return ratios
 
 
 def generate_minimal(coeffs: ThreeTermCoeffs, n_max: int, depth: int = 60) -> CoeffSeq:
@@ -123,27 +126,15 @@ def generate_minimal(coeffs: ThreeTermCoeffs, n_max: int, depth: int = 60) -> Co
     Forward generation of a minimal solution is unstable: roundoff seeds
     the dominant branch, which overtakes after a few dozen terms.  Ratios
     b_n / b_{n-1} are instead started ``depth`` rows beyond n_max and
-    recursed downward, which damps the dominant branch.  Consistent with
-    the n = 0 row only when the characteristic equation holds.
+    recursed downward (``_minimal_ratios``).  Consistent with the n = 0
+    row only when the characteristic equation holds.
     """
     if coeffs.two_sided:
         raise GenerationError("use generate_two_sided for two-sided coefficients")
     if n_max < 0:
         raise GenerationError("n_max must be >= 0")
-    r = 0.0j
-    ratios = []
-    for n in range(n_max + depth, 0, -1):
-        den = coeffs.beta(n) + coeffs.alpha(n) * r
-        if den == 0:
-            den = _TINY
-        r = -coeffs.gamma(n) / den
-        if n <= n_max:
-            ratios.append(r)
-    ratios.reverse()
-    b = [1.0 + 0.0j]
-    for rn in ratios:
-        b.append(b[-1] * rn)
-    return CoeffSeq(values=b)
+    ratios = _minimal_ratios(coeffs.gamma, coeffs.beta, coeffs.alpha, n_max, depth)
+    return CoeffSeq(values=list(accumulate(ratios, operator.mul, initial=1.0 + 0.0j)))
 
 
 def lentz(a: Callable[[int], complex], b: Callable[[int], complex], depth: int, tol: float):
@@ -192,27 +183,17 @@ def _tail_fraction(coeffs: ThreeTermCoeffs, direction: int, depth: int, tol: flo
 def char_value(coeffs: ThreeTermCoeffs, depth: int = 60, tol: float = 1e-14) -> complex:
     """Characteristic function whose root selects the minimal solution.
 
-    One-sided: beta(0) - K with K the infinite continued fraction built
-    from the selected truncation form.  Two-sided: beta(0) minus both the
-    left and right tails.  A root of char_value = 0 is the condition for
-    the generated sequence to be the minimal solution.
+    One-sided: beta(0) - K with K the infinite continued fraction of the
+    right tail.  Two-sided: beta(0) minus both the left and right tails.
+    A root of char_value = 0 is the condition for the generated sequence
+    to be the minimal solution.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    value = coeffs.beta(0) - _tail_fraction(coeffs, +1, depth, tol)
     if coeffs.two_sided:
-        right = _tail_fraction(coeffs, +1, depth, tol)
-        left = _tail_fraction(coeffs, -1, depth, tol)
-        return coeffs.beta(0) - left - right
-    if coeffs.form == "FORM_R3A":
-        return coeffs.beta(0) + coeffs.alpha(-1) - _tail_fraction(coeffs, +1, depth, tol)
-    if coeffs.form == "FORM_R2A":
-        def a(j):
-            if j == 1:
-                return coeffs.alpha(0) * (coeffs.alpha(-1) + coeffs.gamma(1))
-            return -coeffs.alpha(j - 1) * coeffs.gamma(j)
-
-        return coeffs.beta(0) - lentz(a, coeffs.beta, depth, tol)
-    return coeffs.beta(0) - _tail_fraction(coeffs, +1, depth, tol)
+        value -= _tail_fraction(coeffs, -1, depth, tol)
+    return value
 
 
 @dataclass
@@ -387,37 +368,15 @@ def generate_two_sided(
         raise GenerationError("coefficients are not two-sided")
 
     def build(w: int) -> CoeffSeq:
-        r = 0.0j
-        right = []
-        for n in range(w + depth, 0, -1):
-            den = coeffs.beta(n) + coeffs.alpha(n) * r
-            if den == 0:
-                den = _TINY
-            r = -coeffs.gamma(n) / den
-            if n <= w:
-                right.append(r)  # r = b_n / b_{n-1}
-        right.reverse()
-        l = 0.0j
-        left = []
-        for m in range(w + depth, 0, -1):
-            den = coeffs.beta(-m) + coeffs.gamma(-m) * l
-            if den == 0:
-                den = _TINY
-            l = -coeffs.alpha(-m) / den
-            if m <= w:
-                left.append(l)  # l = b_{-m} / b_{-m+1}
-        left.reverse()
-        vals = [0.0j] * (2 * w + 1)
-        vals[w] = 1.0 + 0.0j
-        acc = 1.0 + 0.0j
-        for n in range(1, w + 1):
-            acc *= right[n - 1]
-            vals[w + n] = acc
-        acc = 1.0 + 0.0j
-        for m in range(1, w + 1):
-            acc *= left[m - 1]
-            vals[w - m] = acc
-        return CoeffSeq(values=vals, n_min=-w)
+        right = _minimal_ratios(coeffs.gamma, coeffs.beta, coeffs.alpha, w, depth)
+        left = _minimal_ratios(
+            lambda m: coeffs.alpha(-m), lambda m: coeffs.beta(-m), lambda m: coeffs.gamma(-m),
+            w, depth,
+        )
+        one = 1.0 + 0.0j
+        below = list(accumulate(left, operator.mul, initial=one))[:0:-1]  # b_{-w}..b_{-1}
+        above = list(accumulate(right, operator.mul, initial=one))  # b_0..b_w
+        return CoeffSeq(values=below + above, n_min=-w)
 
     if window is not None:
         return build(window)

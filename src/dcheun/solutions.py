@@ -1,9 +1,14 @@
 """Solution families for the two-point confluent equation.
 
 Four pairs of power / hypergeometric series (with sign-flipped images
-5..8), two-sided Coulomb-type pairs with a free phase parameter, and the
-one-sided truncated Coulomb pairs.  Each solution evaluates its value
-and two derivatives; pairs share a single coefficient sequence.
+5..8) and the Coulomb-type pairs.  Every Coulomb pair is built from one
+coefficient table in a phase parameter nu (table 1 or 2, differing in
+the exponential factor at zero) and one layout.  The two-sided pairs
+take nu from the two-tail characteristic equation.  The one-sided pairs
+1..4 sit at nu = i*eta (tables 1, 2), nu = B2/2 - 1 (table 1) and
+nu = 1 - B2/2 (table 2), where alpha(-1) = 0 cuts the series off below
+n = 0.  Each solution evaluates its value and two derivatives; pairs
+share a single coefficient sequence.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ import cmath
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .core import DcheParams, GaugeMap, apply_rule
 from .errors import DenominatorError, DomainError, NoConvergence, SectorWarning
@@ -234,6 +237,14 @@ def _power_pair_layout(pair_id: int, params: DcheParams):
     raise ValueError("pair_id must be 1..4")
 
 
+def _one_sided_seq(tc: ThreeTermCoeffs, pair_id: int, params: DcheParams, n_terms: int):
+    """Finite series when the pair terminates, else the minimal solution."""
+    n_fin = finite_series_condition(pair_id, params)
+    if n_fin is not None:
+        return generate(tc, n_fin - 1, finite_n=n_fin)
+    return generate_minimal(tc, n_terms)
+
+
 def build_pair_power(pair_id: int, params: DcheParams, n_terms: int = 60):
     """Pair (U at infinity, U at zero) of the power/hypergeometric family.
 
@@ -243,12 +254,7 @@ def build_pair_power(pair_id: int, params: DcheParams, n_terms: int = 60):
     (meaningful when the constant term satisfies the characteristic
     equation).
     """
-    tc = power_coeffs(pair_id, params)
-    n_fin = finite_series_condition(pair_id, params)
-    if n_fin is not None:
-        seq = generate(tc, n_fin - 1, finite_n=n_fin)
-    else:
-        seq = generate_minimal(tc, n_terms)
+    seq = _one_sided_seq(power_coeffs(pair_id, params), pair_id, params, n_terms)
     g_inf, g_zero, s_inf, s_zero, fams, hp = _power_pair_layout(pair_id, params)
     u_inf = DcheSolution(
         family=fams[0], pair_id=pair_id, variant="AT_INF", params=params,
@@ -278,18 +284,15 @@ def r3_family(pair_id: int, params: DcheParams, n_terms: int = 60):
     return u_inf, u_zero
 
 
-# Coulomb-type pairs with a free phase parameter (two-sided series).
-def coulomb_nu_coeffs(pair_id: int, params: DcheParams, nu) -> ThreeTermCoeffs:
-    """Fractional coefficient closures of the two-sided Coulomb pairs."""
-    params.require_nondegenerate()
-    if pair_id not in (1, 2):
-        raise ValueError("pair_id must be 1 or 2 for the phase-parameter family")
-    b1, b2, b3 = params.b1, params.b2, params.b3
+# Coulomb-type pairs: one table and one layout in the phase parameter nu.
+def _coulomb_table(table: int, params: DcheParams, nu) -> ThreeTermCoeffs:
+    """One-sided closures of Coulomb coefficient table 1 or 2 at phase nu."""
+    b2, b3 = params.b2, params.b3
     ie = params.i_eta
     nu = complex(nu)
-    iwb = 1j * params.omega * b1
-    ewb = params.eta * params.omega * b1
-    if pair_id == 1:
+    iwb = 1j * params.omega * params.b1
+    ewb = params.eta * params.omega * params.b1
+    if table == 1:
         def alpha(n):
             return (iwb * (n + nu + 2 - b2 / 2) * (n + nu + 1 - ie)
                     / (2 * (n + nu + 1) * (n + nu + 1.5)))
@@ -314,7 +317,43 @@ def coulomb_nu_coeffs(pair_id: int, params: DcheParams, nu) -> ThreeTermCoeffs:
             return (iwb * (n + nu + 1 - b2 / 2) * (n + nu + ie)
                     / (2 * (n + nu) * (n + nu - 0.5)))
 
-    return ThreeTermCoeffs(alpha=alpha, beta=beta, gamma=gamma, two_sided=True)
+    return ThreeTermCoeffs(alpha=alpha, beta=beta, gamma=gamma)
+
+
+def _coulomb_pair(table: int, params: DcheParams, nu: complex, seq: CoeffSeq):
+    """(U at infinity, U at zero) members of table 1 or 2 at phase nu."""
+    b1, b2 = params.b1, params.b2
+    ie = params.i_eta
+    iw = 1j * params.omega
+    if table == 1:
+        exp_inv, hp = 0.0, +1
+        s_zero = TermScheme(pow_const=1 / b1, pow_sign=-1,
+                            a0=nu + b2 / 2, b0=2 * nu + 2, db=2, h=b1, m=-1)
+    else:
+        exp_inv, hp = b1, -1
+        s_zero = TermScheme(pow_const=-1 / b1, pow_sign=-1,
+                            a0=nu + 2 - b2 / 2, b0=2 * nu + 2, db=2, h=-b1, m=-1)
+    s_inf = TermScheme(pow_const=-2 * iw, pow_sign=1,
+                       a0=nu + 1 + ie, b0=2 * nu + 2, db=2, h=-2 * iw, m=1)
+    u_inf = DcheSolution(
+        family="COULOMB_NU", pair_id=table, variant="AT_INF", params=params, coeffs=seq,
+        gauge=GaugeMap(exp_z=iw, exp_inv=exp_inv, power=nu + 1 - b2 / 2),
+        scheme=s_inf, sector_of="-2i*omega*z", nu=nu,
+    )
+    u_zero = DcheSolution(
+        family="COULOMB_NU", pair_id=table, variant="AT_ZERO", params=params, coeffs=seq,
+        gauge=GaugeMap(exp_z=iw, exp_inv=exp_inv, power=-nu - b2 / 2),
+        scheme=s_zero, sector_of=("B1/z" if hp > 0 else "-B1/z"), halfplane_sign=hp, nu=nu,
+    )
+    return u_inf, u_zero
+
+
+def coulomb_nu_coeffs(pair_id: int, params: DcheParams, nu) -> ThreeTermCoeffs:
+    """Fractional coefficient closures of the two-sided Coulomb pairs."""
+    params.require_nondegenerate()
+    if pair_id not in (1, 2):
+        raise ValueError("pair_id must be 1 or 2 for the phase-parameter family")
+    return replace(_coulomb_table(pair_id, params, nu), two_sided=True)
 
 
 def _check_nu_denominators(nu: complex, window: int):
@@ -343,128 +382,14 @@ def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 24
             f"(|value| = {abs(cv):.2e}); series will not solve the equation",
             UserWarning,
         )
-    seq = generate_two_sided(tc, window=window)
-    b1, b2 = params.b1, params.b2
-    ie = params.i_eta
-    iw = 1j * params.omega
-    if pair_id == 1:
-        g_inf = GaugeMap(exp_z=iw, power=nu + 1 - b2 / 2)
-        g_zero = GaugeMap(exp_z=iw, power=-nu - b2 / 2)
-        s_zero = TermScheme(pow_const=1 / b1, pow_sign=-1,
-                            a0=nu + b2 / 2, b0=2 * nu + 2, db=2, h=b1, m=-1)
-        hp = +1
-    else:
-        g_inf = GaugeMap(exp_z=iw, exp_inv=b1, power=nu + 1 - b2 / 2)
-        g_zero = GaugeMap(exp_z=iw, exp_inv=b1, power=-nu - b2 / 2)
-        s_zero = TermScheme(pow_const=-1 / b1, pow_sign=-1,
-                            a0=nu + 2 - b2 / 2, b0=2 * nu + 2, db=2, h=-b1, m=-1)
-        hp = -1
-    s_inf = TermScheme(pow_const=-2 * iw, pow_sign=1,
-                       a0=nu + 1 + ie, b0=2 * nu + 2, db=2, h=-2 * iw, m=1)
-    u_inf = DcheSolution(
-        family="COULOMB_NU", pair_id=pair_id, variant="AT_INF", params=params,
-        coeffs=seq, gauge=g_inf, scheme=s_inf, sector_of="-2i*omega*z", nu=nu,
-    )
-    u_zero = DcheSolution(
-        family="COULOMB_NU", pair_id=pair_id, variant="AT_ZERO", params=params,
-        coeffs=seq, gauge=g_zero, scheme=s_zero,
-        sector_of=("B1/z" if hp > 0 else "-B1/z"), halfplane_sign=hp, nu=nu,
-    )
-    return u_inf, u_zero
+    return _coulomb_pair(pair_id, params, nu, generate_two_sided(tc, window=window))
 
 
-# Truncated (one-sided) Coulomb pairs.
-def _coulomb_layout(pair_id: int, params: DcheParams):
-    """(gauge_inf, gauge_zero, scheme_inf, scheme_zero, halfplane sign)."""
-    b1, b2 = params.b1, params.b2
-    ie = params.i_eta
-    iw = 1j * params.omega
-    if pair_id == 1:
-        return (
-            GaugeMap(exp_z=iw, power=1 + ie - b2 / 2),
-            GaugeMap(exp_z=iw, power=-ie - b2 / 2),
-            TermScheme(pow_const=-2 * iw, pow_sign=1,
-                       a0=1 + 2 * ie, b0=2 + 2 * ie, db=2, h=-2 * iw, m=1),
-            TermScheme(pow_const=1 / b1, pow_sign=-1,
-                       a0=ie + b2 / 2, b0=2 + 2 * ie, db=2, h=b1, m=-1),
-            +1,
-        )
-    if pair_id == 2:
-        return (
-            GaugeMap(exp_z=iw, exp_inv=b1, power=1 + ie - b2 / 2),
-            GaugeMap(exp_z=iw, exp_inv=b1, power=-ie - b2 / 2),
-            TermScheme(pow_const=-2 * iw, pow_sign=1,
-                       a0=1 + 2 * ie, b0=2 + 2 * ie, db=2, h=-2 * iw, m=1),
-            TermScheme(pow_const=-1 / b1, pow_sign=-1,
-                       a0=2 + ie - b2 / 2, b0=2 + 2 * ie, db=2, h=-b1, m=-1),
-            -1,
-        )
-    if pair_id == 3:
-        return (
-            GaugeMap(exp_z=iw),
-            GaugeMap(exp_z=iw, power=1 - b2),
-            TermScheme(pow_const=-2 * iw, pow_sign=1,
-                       a0=b2 / 2 + ie, b0=b2, db=2, h=-2 * iw, m=1),
-            TermScheme(pow_const=1 / b1, pow_sign=-1,
-                       a0=b2 - 1, b0=b2, db=2, h=b1, m=-1),
-            +1,
-        )
-    if pair_id == 4:
-        return (
-            GaugeMap(exp_z=iw, exp_inv=b1, power=2 - b2),
-            GaugeMap(exp_z=iw, exp_inv=b1, power=-1),
-            TermScheme(pow_const=-2 * iw, pow_sign=1,
-                       a0=2 - b2 / 2 + ie, b0=4 - b2, db=2, h=-2 * iw, m=1),
-            TermScheme(pow_const=-1 / b1, pow_sign=-1,
-                       a0=3 - b2, b0=4 - b2, db=2, h=-b1, m=-1),
-            -1,
-        )
-    raise ValueError("pair_id must be 1..4")
-
-
-def _coulomb_raw(pair_id: int, params: DcheParams):
-    """Displayed fractional closures; 0/0 entries are handled separately."""
-    b1, b2, b3 = params.b1, params.b2, params.b3
-    ie = params.i_eta
-    iwb = 1j * params.omega * b1
-    ewb = params.eta * params.omega * b1
-    if pair_id == 1:
-        return (
-            lambda n: iwb * (n + 1) * (n + 2 + ie - b2 / 2)
-            / (2 * (n + 1 + ie) * (n + ie + 1.5)),
-            lambda n: b3 + (n + 1 + ie - b2 / 2) * (n + ie + b2 / 2)
-            + ewb * (b2 / 2 - 1) / ((n + ie) * (n + 1 + ie)),
-            lambda n: iwb * (n + 2 * ie) * (n + b2 / 2 + ie - 1)
-            / (2 * (n + ie) * (n + ie - 0.5)),
-        )
-    if pair_id == 2:
-        return (
-            lambda n: -iwb * (n + 1) * (n + b2 / 2 + ie)
-            / (2 * (n + 1 + ie) * (n + ie + 1.5)),
-            lambda n: b3 + (n + 1 + ie - b2 / 2) * (n + ie + b2 / 2)
-            + ewb * (b2 / 2 - 1) / ((n + ie) * (n + 1 + ie)),
-            lambda n: -iwb * (n + 2 * ie) * (n - b2 / 2 + ie + 1)
-            / (2 * (n + ie) * (n + ie - 0.5)),
-        )
-    if pair_id == 3:
-        return (
-            lambda n: iwb * (n + 1) * (n + b2 / 2 - ie)
-            / (2 * (n + b2 / 2) * (n + b2 / 2 + 0.5)),
-            lambda n: b3 + n * (n + b2 - 1)
-            + ewb * (b2 / 2 - 1) / ((n + b2 / 2 - 1) * (n + b2 / 2)),
-            lambda n: iwb * (n + b2 - 2) * (n + b2 / 2 - 1 + ie)
-            / (2 * (n + b2 / 2 - 1) * (n + b2 / 2 - 1.5)),
-        )
-    if pair_id == 4:
-        return (
-            lambda n: iwb * (n + 1) * (n + 2 - b2 / 2 - ie)
-            / (2 * (n + 2 - b2 / 2) * (n + 2.5 - b2 / 2)),
-            lambda n: -b3 - (n + 1) * (n + 2 - b2)
-            - ewb * (b2 / 2 - 1) / ((n + 1 - b2 / 2) * (n + 2 - b2 / 2)),
-            lambda n: iwb * (n + 2 - b2) * (n + 1 - b2 / 2 + ie)
-            / (2 * (n + 1 - b2 / 2) * (n + 0.5 - b2 / 2)),
-        )
-    raise ValueError("pair_id must be 1..4")
+# Truncated (one-sided) Coulomb pairs: rows of the table at a fixed phase.
+def _coulomb_phase(pair_id: int, params: DcheParams):
+    """(table, nu) of the truncated pair; alpha(-1) vanishes there."""
+    ie, half = params.i_eta, params.b2 / 2
+    return {1: (1, ie), 2: (2, ie), 3: (1, half - 1), 4: (2, 1 - half)}[pair_id]
 
 
 def _near_value(x: complex, v: float) -> bool:
@@ -474,9 +399,10 @@ def _near_value(x: complex, v: float) -> bool:
 def coulomb_form(pair_id: int, params: DcheParams) -> str:
     """Recurrence form for the truncated Coulomb pair at these parameters.
 
-    Pairs 1-2 switch on i*eta (R2A at -1/2, R3A at 0), pairs 3-4 on B2.
-    Parameter values that make a denominator vanish without a defined
-    form raise DenominatorError with the applicable remedy.
+    FORM_R3A marks nu = 0 and FORM_R2A nu = -1/2, where one table entry
+    is 0/0: pairs 1-2 switch on i*eta, pairs 3-4 on B2.  Parameter values
+    that make a denominator vanish without a finite limit raise
+    DenominatorError with the applicable remedy.
     """
     ie = params.i_eta
     b2 = params.b2
@@ -514,124 +440,29 @@ def coulomb_form(pair_id: int, params: DcheParams) -> str:
     raise ValueError("pair_id must be 1..4")
 
 
-def _project_rows(pair_id: int, params: DcheParams, form: str):
-    """First-row data for the degenerate parameter values, by projection.
-
-    At the degenerate values the basis term t_{-1} coincides with t_0
-    (R3A) or t_1 (R2A), so the displayed first-row coefficients are 0/0.
-    The row is recovered by applying the full differential operator to
-    t_0 and projecting the result onto the surviving neighbor terms at
-    sample points; the projected row is then rescaled to the displayed
-    normalization through a well-defined closure coefficient.
-    """
-    g_inf, _, s_inf, _, _ = _coulomb_layout(pair_id, params)
-    b1, b2, b3 = params.b1, params.b2, params.b3
-    w, eta = params.omega, params.eta
-
-    def lterm(n, z):
-        p, dp, d2p = g_inf.prefactor_derivatives(z)
-        t0, t1, t2 = s_inf.term(n, z)
-        f0 = p * t0
-        f1 = dp * t0 + p * t1
-        f2 = d2p * t0 + 2 * dp * t1 + p * t2
-        return (
-            z * z * f2 + (b1 + b2 * z) * f1
-            + (b3 - 2 * eta * w * z + w * w * z * z) * f0,
-            f0,
-        )
-
-    zs = [0.9 * cmath.exp(0.5j * k) + 0.3 for k in range(6)]
-    rows_l = []
-    rows_t = []
-    for z in zs:
-        lv, t0v = lterm(0, z)
-        t1v = g_inf.prefactor(z) * s_inf.term(1, z)[0]
-        rows_l.append(lv)
-        rows_t.append((t1v, t0v))
-    a_mat = np.array(rows_t, dtype=complex)
-    b_vec = np.array(rows_l, dtype=complex)
-    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    p0f, q0f = complex(sol[0]), complex(sol[1])
-    resid = np.max(np.abs(a_mat @ sol - b_vec)) / max(np.max(np.abs(b_vec)), 1e-30)
-    if resid > 1e-8:
-        raise DenominatorError(
-            f"degenerate first row could not be resolved (projection residual {resid:.1e})"
-        )
-    alpha_raw, beta_raw, gamma_raw = _coulomb_raw(pair_id, params)
-    if form == "FORM_R3A":
-        # row 0 reads q0f b0 + r1 b1 = 0; rescale to the displayed alpha(0)
-        a0 = alpha_raw(0)
-        # r1 = coefficient of t0 in L[t1]; obtain it by one more projection
-        rows_l2 = []
-        rows_t2 = []
-        for z in zs:
-            lv, _ = lterm(1, z)
-            pv = g_inf.prefactor(z)
-            t2v = pv * s_inf.term(2, z)[0]
-            t1v = pv * s_inf.term(1, z)[0]
-            t0v = pv * s_inf.term(0, z)[0]
-            rows_l2.append(lv)
-            rows_t2.append((t2v, t1v, t0v))
-        sol2, *_ = np.linalg.lstsq(np.array(rows_t2, dtype=complex),
-                                   np.array(rows_l2, dtype=complex), rcond=None)
-        r1 = complex(sol2[2])
-        beta0_eff = q0f * a0 / r1
-        return {"beta0_eff": beta0_eff}
-    # FORM_R2A: the folded t_{-1} contribution lands in the row for t_1;
-    # rescale via the well-defined alpha(1) against the projected r2.
-    rows_l2 = []
-    rows_t2 = []
-    for z in zs:
-        lv, _ = lterm(2, z)
-        pv = g_inf.prefactor(z)
-        rows_l2.append(lv)
-        rows_t2.append(tuple(pv * s_inf.term(k, z)[0] for k in (3, 2, 1)))
-    sol2, *_ = np.linalg.lstsq(np.array(rows_t2, dtype=complex),
-                               np.array(rows_l2, dtype=complex), rcond=None)
-    r2 = complex(sol2[2])
-    a1 = alpha_raw(1)
-    gamma1_eff = p0f * a1 / r2
-    return {"gamma1_eff": gamma1_eff}
-
-
 def coulomb_coeffs(pair_id: int, params: DcheParams) -> ThreeTermCoeffs:
-    """Coefficient closures for the truncated Coulomb pairs, form-selected.
+    """One-sided coefficient closures of the truncated Coulomb pair.
 
-    For the degenerate parameter values the ill-defined first-row entries
-    are replaced by projection-derived effective values; alpha(-1) is
-    folded into them and reported as zero.
+    The rows of the shared table at the pair's phase nu.  At nu = 0
+    (FORM_R3A) beta(0) and at nu = -1/2 (FORM_R2A) gamma(1) are 0/0 in
+    the table; they are replaced by their exact limits along the pair's
+    line in nu.
     """
     form = coulomb_form(pair_id, params)
-    alpha_raw, beta_raw, gamma_raw = _coulomb_raw(pair_id, params)
-    if form == "FORM_R1A":
-        return ThreeTermCoeffs(
-            alpha=alpha_raw, beta=beta_raw, gamma=gamma_raw, form="FORM_R1A"
-        )
-    eff = _project_rows(pair_id, params, form)
+    table, nu = _coulomb_phase(pair_id, params)
+    tc = _coulomb_table(table, params, nu)
+    b2, b3 = params.b2, params.b3
+    iwb = 1j * params.omega * params.b1
+    ewb = params.eta * params.omega * params.b1
     if form == "FORM_R3A":
-        beta0 = eff["beta0_eff"]
-
-        def beta(n):
-            return beta0 if n == 0 else beta_raw(n)
-
-        def alpha(n):
-            return 0.0j if n == -1 else alpha_raw(n)
-
-        def gamma(n):
-            if n == 0:
-                return 0.0j  # never used: the n=0 row has no b_{-1} column
-            return gamma_raw(n)
-
-        return ThreeTermCoeffs(alpha=alpha, beta=beta, gamma=gamma, form="FORM_R3A")
-    gamma1 = eff["gamma1_eff"]
-
-    def alpha2(n):
-        return 0.0j if n == -1 else alpha_raw(n)
-
-    def gamma2(n):
-        return gamma1 if n == 1 else gamma_raw(n)
-
-    return ThreeTermCoeffs(alpha=alpha2, beta=beta_raw, gamma=gamma2, form="FORM_R2A")
+        lim = (-iwb * (b2 / 2 - 1), -iwb * (b2 / 2 - 1), ewb, -ewb)[pair_id - 1]
+        beta0 = (1 if table == 1 else -1) * (b3 + (1 - b2 / 2) * (b2 / 2) + lim)
+        return replace(tc, beta=lambda n: beta0 if n == 0 else tc.beta(n))
+    if form == "FORM_R2A":
+        half_ie = 0.5 + params.i_eta
+        gamma1 = 2 * iwb * (b2 / 2 - 0.5, 1.5 - b2 / 2, half_ie, half_ie)[pair_id - 1]
+        return replace(tc, gamma=lambda n: gamma1 if n == 1 else tc.gamma(n))
+    return tc
 
 
 def build_pair_coulomb(pair_id: int, params: DcheParams, n_terms: int = 60):
@@ -640,20 +471,10 @@ def build_pair_coulomb(pair_id: int, params: DcheParams, n_terms: int = 60):
     Termination follows the same condition, with the same N, as the
     corresponding power/hypergeometric pair.
     """
-    tc = coulomb_coeffs(pair_id, params)
-    n_fin = finite_series_condition(pair_id, params)
-    if n_fin is not None:
-        seq = generate(tc, n_fin - 1, finite_n=n_fin)
-    else:
-        seq = generate_minimal(tc, n_terms)
-    g_inf, g_zero, s_inf, s_zero, hp = _coulomb_layout(pair_id, params)
-    u_inf = DcheSolution(
-        family="HYP_U_IN_Z", pair_id=pair_id, variant="AT_INF", params=params,
-        coeffs=seq, gauge=g_inf, scheme=s_inf, sector_of="-2i*omega*z",
+    seq = _one_sided_seq(coulomb_coeffs(pair_id, params), pair_id, params, n_terms)
+    table, nu = _coulomb_phase(pair_id, params)
+    u_inf, u_zero = _coulomb_pair(table, params, nu, seq)
+    return (
+        replace(u_inf, family="HYP_U_IN_Z", pair_id=pair_id, nu=None),
+        replace(u_zero, family="HYP_U_IN_1/Z", pair_id=pair_id, nu=None),
     )
-    u_zero = DcheSolution(
-        family="HYP_U_IN_1/Z", pair_id=pair_id, variant="AT_ZERO", params=params,
-        coeffs=seq, gauge=g_zero, scheme=s_zero,
-        sector_of=("B1/z" if hp > 0 else "-B1/z"), halfplane_sign=hp,
-    )
-    return u_inf, u_zero

@@ -192,14 +192,16 @@ def test_tridiag_eigen_violation_warns():
     assert not r.certified
 
 
-def test_two_sided_generation_consistency():
-    # a symmetric two-sided recurrence with rapidly growing |beta(n)| has a
-    # minimal solution decaying in both directions; rows must re-substitute
+@pytest.mark.parametrize("alpha,gamma", [(1.0, 1.0), (2.0, 0.5)])
+def test_two_sided_generation_consistency(alpha, gamma):
+    # a two-sided recurrence with rapidly growing |beta(n)| has a minimal
+    # solution decaying in both directions; rows must re-substitute.  The
+    # asymmetric case catches a left tail that swaps alpha and gamma.
     def fac(x):
         return ThreeTermCoeffs(
-            alpha=lambda n: 1.0,
+            alpha=lambda n: alpha,
             beta=lambda n, x=x: x if n == 0 else -(4.0 * n * n + 3.0),
-            gamma=lambda n: 1.0,
+            gamma=lambda n: gamma,
             two_sided=True,
         )
 
