@@ -7,8 +7,9 @@ rules), and ``verify`` (seeded invariant suites with machine-readable
 reports).  Output is JSON (default) or CSV, deterministic for a fixed
 configuration including the seed.
 
-Exit codes: 0 success, 1 internal error, 2 usage or domain error,
-3 method precondition not satisfied.
+Exit codes: 0 success, 1 internal or arithmetic (e.g. overflow) error,
+2 usage or domain error, 3 method precondition not satisfied.  Every
+nonzero exit after argument parsing writes one JSON error line to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import cmath
 import json
 import random
 import sys
+import warnings
 
 SCHEMA_VERSION = "1"
 
@@ -84,6 +86,8 @@ def cmd_eval(args) -> int:
     params = _parse_params(args.params)
     if args.pair not in range(1, 9):
         raise DomainError("--pair must be 1..8")
+    if args.terms < 1:
+        raise DomainError(f"--terms must be >= 1, got {args.terms}")
     builder = build_pair_power if args.pair <= 4 else r3_family
     pid = args.pair if args.pair <= 4 else args.pair - 4
     u_inf, u_zero = builder(pid, params, args.terms)
@@ -91,10 +95,8 @@ def cmd_eval(args) -> int:
     records = []
     for ztext in args.z:
         z = parse_complex(ztext)
-        import warnings as _w
-
-        with _w.catch_warnings(record=True) as caught:
-            _w.simplefilter("always")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             value, d1, d2 = member(z)
             res, scale = residual_parts(params, member, z)
         records.append(
@@ -317,10 +319,8 @@ def _suite_pairs(rng: random.Random, tol: float, checks: list) -> None:
             checks.append({"check": f"pair{pair_id}_residual", "passed": False})
             continue
         pt = p.with_b3(root.x)
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             u_inf, u_zero = build_pair_power(pair_id, pt)
             sign = 1 if pair_id in (1, 3) else -1
             zs = [sign * (1.0 + rng.random()) for _ in range(3)]
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as e:
         print(json.dumps({"error": str(e), "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return 2
-    except DcheunError as e:
+    except (DcheunError, ArithmeticError) as e:
         print(json.dumps({"error": str(e), "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return 1
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import DcheParams
 from .errors import BranchError, ConditionError, QuadratureError
@@ -149,7 +148,12 @@ def contour_quad(f: Callable[[float, float], complex], tol: float = 1e-11) -> co
     power (xi - 1)^p stays accurate when e^s underflows the sum.  The
     substitution absorbs the endpoint singularity for Re p > -1 and
     compresses the exponential tail.
+
+    The integral is computed by ``scipy.integrate.quad``, once for the
+    real and once for the imaginary part.  SciPy is imported here, on the
+    first quadrature, not when the package is imported.
     """
+    from scipy.integrate import quad
 
     def g(s: float, part: int) -> float:
         e = math.exp(s)

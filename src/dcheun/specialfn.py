@@ -17,15 +17,18 @@ U(a, b, z) is evaluated by one of three strategies:
 
 A cancellation monitor falls back to arbitrary precision (mpmath) when
 the double-precision route would lose too many digits.
+
+SciPy is not imported with this module: ``gamma`` and ``rgamma`` load
+SciPy's complex ufuncs on their first call, so importing the package
+(and every CLI command that never needs Gamma) stays free of SciPy.
 """
 
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import mpmath
-import scipy.special as _sp
 
 from .errors import BranchError, ConvergenceError, DomainError, PoleError
 
@@ -46,17 +49,25 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return abs(z.imag) <= tol and z.real <= 0.5 and abs(z.real - round(z.real)) <= tol
 
 
+@cache
+def _scipy_special():
+    """scipy.special, imported on the first Gamma evaluation, not with the package."""
+    import scipy.special
+
+    return scipy.special
+
+
 def gamma(z) -> complex:
     """Complex gamma function, >= 12 significant digits for |z| <= 50."""
     z = _as_complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
-    return complex(_sp.gamma(z))
+    return complex(_scipy_special().gamma(z))
 
 
 def rgamma(z) -> complex:
     """Reciprocal gamma 1/gamma(z); entire, zero at the poles of gamma."""
-    return complex(_sp.rgamma(_as_complex(z)))
+    return complex(_scipy_special().rgamma(_as_complex(z)))
 
 
 def laguerre(l: int, alpha, y) -> complex:
@@ -126,12 +137,32 @@ def _u_asymptotic(a: complex, b: complex, z: complex):
     return pref * s, best / max(abs(s), 1e-300)
 
 
+def _gamma_b_minus_1(b: complex) -> complex:
+    """Gamma(b - 1), accurate also near its poles at b = 0, -1, -2, ...
+
+    For b near n <= 0 the rounded argument b - 1 is off by up to half an
+    ulp of n - 1, which Gamma amplifies by 1/|b - n|; in the connection
+    that error is not cancelled (U(0.5, 1e-5, 0.5) would lose 6 digits).
+    The offset d = b - n is exact, so the pole factors are built from it:
+    Gamma(b - 1) = Gamma(1 + d) / prod_{k=n-1}^{0} (k + d).  The one
+    pole with n > 0 is at b = 1, where b - 1 is itself exact.
+    """
+    n = round(b.real)
+    if n > 0:
+        return gamma(b - 1)
+    d = b - n
+    den = 1.0 + 0.0j
+    for k in range(n - 1, 1):
+        den *= k + d
+    return gamma(1 + d) / den
+
+
 def _u_connection(a: complex, b: complex, z: complex):
     """Two-term M-series connection; returns (value, relative error estimate)."""
     m1, p1 = _kummer_m(a, b, z)
     m2, p2 = _kummer_m(a - b + 1, 2 - b, z)
     c1 = gamma(1 - b) * rgamma(a - b + 1)
-    c2 = gamma(b - 1) * rgamma(a) * cmath.exp((1 - b) * cmath.log(z))
+    c2 = _gamma_b_minus_1(b) * rgamma(a) * cmath.exp((1 - b) * cmath.log(z))
     val = c1 * m1 + c2 * m2
     scale = max(abs(c1) * p1, abs(c2) * p2, 1e-300)
     return val, _EPS * scale / max(abs(val), 1e-300)
@@ -162,11 +193,15 @@ def _hyp_u_cached(a: complex, b: complex, z: complex) -> complex:
     b_off = abs(b.imag) <= 2 * _B_PERTURB and abs(b.real - round(b.real)) <= 2 * _B_PERTURB
     if b_off:
         # b at (or extremely close to) an integer: symmetric perturbation
-        # average cancels the O(delta) drift of each branch.
-        vp, ep = _u_connection(a, b + _B_PERTURB, z)
-        vm, em = _u_connection(a, b - _B_PERTURB, z)
+        # average cancels the O(h) drift of each branch.  The step grows by
+        # b's offset from the integer, so both points stay at least
+        # _B_PERTURB away from it (the integer itself is a pole of both
+        # connection terms).
+        h = _B_PERTURB + abs(b - round(b.real))
+        vp, ep = _u_connection(a, b + h, z)
+        vm, em = _u_connection(a, b - h, z)
         val = 0.5 * (vp + vm)
-        err = max(ep, em, _B_PERTURB ** 2)
+        err = max(ep, em, h * h)
     else:
         val, err = _u_connection(a, b, z)
     if err < _FALLBACK_TOL:

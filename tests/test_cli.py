@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dcheun.cli import format_complex, main, parse_complex
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -172,3 +178,71 @@ def test_nonpositive_tolerance_exits_2(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--params", "1,1,0.5,0.5i,0.5i", "--pair", "1", "--variant", "zero",
+         "--z", "1e308"],
+        ["spectrum", "--potential", "double-morse", "--B", "1e200", "--C", "0", "--s", "0.5"],
+    ],
+    ids=["eval_overflow", "spectrum_overflow"],
+)
+def test_arithmetic_error_is_a_json_error_line(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(err)["schema_version"] == "1"
+
+
+@pytest.mark.parametrize("terms", ["-3", "0"])
+def test_eval_terms_below_one_exits_2(terms, capsys):
+    code, _, err = run_cli(
+        capsys, "eval", "--params", "1,1,0.5,0.5i,0.5i", "--pair", "2",
+        "--terms", terms, "--z", "1",
+    )
+    assert code == 2
+    assert "--terms" in json.loads(err)["error"]
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def _imported_modules(importtime_stderr: str) -> list:
+    """Module names from ``python -X importtime`` lines on stderr."""
+    return [
+        line.rsplit("|", 1)[-1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+
+
+def test_import_loads_no_scipy():
+    proc = _python(
+        "-c",
+        "import sys, dcheun, dcheun.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--rule", "r3", "--params", "2,2,2,i,i"],
+        ["verify", "--suite", "rules"],
+    ],
+    ids=["transform", "verify_rules"],
+)
+def test_cold_cli_process_loads_no_scipy(argv):
+    proc = _python("-X", "importtime", "-m", "dcheun.cli", *argv)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["schema_version"] == "1"
+    modules = _imported_modules(proc.stderr)
+    assert "dcheun" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

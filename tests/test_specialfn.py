@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
@@ -71,11 +72,22 @@ def test_u_kummer_reflection(rng):
     b=st.floats(-1.5, 2.5),
     z=st.floats(0.5, 4.0),
 )
+@example(a=1.0, b=1e-07, z=1.0)  # the b-average must not step onto b = 0
+@example(a=0.5, b=1e-05, z=0.5)  # Gamma(b - 1) next to its pole at b = 0
 def test_u_kummer_reflection_property(a, b, z):
     a2, b2, pref_exp = kummer_transform(a, b, z)
     lhs = hyp_u(a, b, z)
     rhs = z**pref_exp * hyp_u(a2, b2, z)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("b", [1e-7, -1e-7, 1 + 1e-7, 2 - 1e-7, 1e-5, -1e-5, -1 - 1e-4])
+def test_u_near_integer_b_against_mpmath(b):
+    # the symmetric b-average must not step onto the integer itself, and
+    # Gamma(b - 1) must keep its digits next to its poles at b = 0, -1, ...
+    for a, z in ((1.0, 1.0), (0.5, 0.5), (0.7 + 0.2j, 2.5 - 0.5j)):
+        ref = complex(mpmath.hyperu(a, b, z))
+        assert abs(hyp_u(a, b, z) - ref) <= 1e-9 * max(1.0, abs(ref)), (a, b, z)
 
 
 def test_u_terminates_to_laguerre(rng):
