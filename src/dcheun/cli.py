@@ -97,8 +97,8 @@ def cmd_eval(args) -> int:
         z = parse_complex(ztext)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            value, d1, d2 = member(z)
-            res, scale = residual_parts(params, member, z)
+            value, d1, d2 = triple = member(z)
+            res, scale = residual_parts(params, lambda _: triple, z)
         records.append(
             {
                 "z": format_complex(z),

@@ -82,13 +82,7 @@ class VarMap:
         return self.kind == "linear" and self.const == 1.0
 
     def apply(self, z: complex) -> complex:
-        if self.kind == "linear":
-            return self.const * z
-        if self.kind == "inversion":
-            return self.const / z
-        if self.kind == "log":
-            return cmath.log(z) / self.const
-        return cmath.sqrt(z)
+        return self.derivatives(z)[0]
 
     def derivatives(self, z: complex):
         """(w, dw/dz, d2w/dz2) at z."""
@@ -211,15 +205,7 @@ def residual(params: DcheParams, f, z) -> complex:
     z^2 f'' + (B1 + B2 z) f' + (B3 - 2 eta omega z + omega^2 z^2) f, which
     vanishes exactly when f solves the equation at z.
     """
-    z = _c(z)
-    if z == 0:
-        raise DomainError("the equation has an irregular singularity at z = 0")
-    fv, f1, f2 = f(z)
-    return (
-        z * z * f2
-        + (params.b1 + params.b2 * z) * f1
-        + (params.b3 - 2 * params.eta * params.omega * z + params.omega**2 * z * z) * fv
-    )
+    return residual_parts(params, f, z)[0]
 
 
 def residual_parts(params: DcheParams, f, z):

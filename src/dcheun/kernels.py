@@ -150,14 +150,19 @@ def contour_quad(f: Callable[[float, float], complex], tol: float = 1e-11) -> co
     compresses the exponential tail.
 
     The integral is computed by ``scipy.integrate.quad``, once for the
-    real and once for the imaginary part.  SciPy is imported here, on the
-    first quadrature, not when the package is imported.
+    real and once for the imaginary part; f runs once per distinct node.
+    SciPy is imported here, on the first quadrature, not when the package
+    is imported.
     """
     from scipy.integrate import quad
 
+    at_node: dict = {}
+
     def g(s: float, part: int) -> float:
-        e = math.exp(s)
-        v = f(1.0 + e, e) * e
+        v = at_node.get(s)
+        if v is None:
+            e = math.exp(s)
+            v = at_node[s] = f(1.0 + e, e) * e
         return v.real if part == 0 else v.imag
 
     out = 0.0j

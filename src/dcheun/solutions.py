@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .core import DcheParams, GaugeMap, apply_rule
+from .core import DcheParams, GaugeMap, VarMap, apply_rule
 from .errors import DenominatorError, DomainError, NoConvergence, SectorWarning
 from .recurrence import (
     CoeffSeq,
@@ -29,7 +29,7 @@ from .recurrence import (
     generate_minimal,
     generate_two_sided,
 )
-from .specialfn import hyp_u, hyp_u_dz
+from .specialfn import hyp_u, u_shift_factor
 
 FAMILIES = ("POWER_DESC", "POWER_ASC", "HYP_U_IN_1/Z", "HYP_U_IN_Z", "COULOMB_NU")
 
@@ -42,11 +42,11 @@ _DEN_TOL = 1e-9
 class TermScheme:
     """Structure of the n-th basis term, before the overall prefactor.
 
-    t_n(z) = (pow_const * z)^(pow_sign * n) * U(a0 + n, b0 + db n, h z^m)
+    t_n(z) = (pow_const * z)^(pow_sign * n) * U(a0 + n, b0 + db n, w(z))
 
     The power factor is dropped when pow_sign = 0 and the U factor when
-    ``h`` is None.  m = +1 puts the U argument proportional to z, m = -1
-    to 1/z.
+    ``arg`` is None.  ``arg`` is the map z -> w: ``linear`` puts the U
+    argument proportional to z, ``inversion`` to 1/z.
     """
 
     pow_const: complex = 1.0
@@ -54,11 +54,11 @@ class TermScheme:
     a0: complex = 0.0
     b0: complex = 0.0
     db: int = 1
-    h: Optional[complex] = None
-    m: int = 1
+    arg: Optional[VarMap] = None
 
-    def term(self, n: int, z: complex):
-        """(value, d1, d2) of the bare term t_n at z."""
+    def term(self, n: int, z: complex, u_at: dict):
+        """(value, d1, d2) of the bare term t_n at z; ``u_at`` maps (a, b) to
+        U(a, b, w(z)) across the terms of one series at this z."""
         v = 1.0 + 0.0j
         l1 = 0.0j  # (log of power factor)' pieces handled additively
         l2 = 0.0j
@@ -67,18 +67,18 @@ class TermScheme:
             v = cmath.exp(k * cmath.log(self.pow_const * z))
             l1 = k / z
             l2 = -k / (z * z)
-        if self.h is None:
+        if self.arg is None:
             return v, v * l1, v * (l1 * l1 + l2)
         a = self.a0 + n
         b = self.b0 + self.db * n
-        if self.m == 1:
-            w, dw, d2w = self.h * z, self.h, 0.0j
-        else:
-            w, dw, d2w = self.h / z, -self.h / z**2, 2 * self.h / z**3
-        u0 = hyp_u(a, b, w)
-        u1 = hyp_u_dz(a, b, w, 1)
-        u2 = hyp_u_dz(a, b, w, 2)
-        g0 = u0
+        w, dw, d2w = self.arg.derivatives(z)
+        keys = ((a, b), (a + 1, b + 1), (a + 2, b + 2))
+        for k in keys:  # with db = 1, term n + 1 asks again for two of these
+            if k not in u_at:
+                u_at[k] = hyp_u(k[0], k[1], w)
+        g0, u1, u2 = (u_at[k] for k in keys)
+        u1 *= u_shift_factor(a, 1)
+        u2 *= u_shift_factor(a, 2)
         g1 = u1 * dw
         g2 = u2 * dw * dw + u1 * d2w
         return (
@@ -138,11 +138,12 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     small = 0
     last = 0.0
     seq = sol.coeffs
+    u_at: dict = {}
     for i, bn in enumerate(seq.values):
         n = seq.n_min + i
         if bn == 0:
             continue
-        t0, t1, t2 = sol.scheme.term(n, z)
+        t0, t1, t2 = sol.scheme.term(n, z, u_at)
         s0 += bn * t0
         s1 += bn * t1
         s2 += bn * t2
@@ -217,21 +218,21 @@ def _power_pair_layout(pair_id: int, params: DcheParams):
     if pair_id == 1:
         g = GaugeMap(exp_z=iw, power=-ie - b2 / 2)
         inf = TermScheme(pow_const=-2 * iw, pow_sign=-1)
-        zero = TermScheme(a0=ie + b2 / 2, b0=2 + 2 * ie, db=1, h=b1, m=-1)
+        zero = TermScheme(a0=ie + b2 / 2, b0=2 + 2 * ie, db=1, arg=VarMap("inversion", b1))
         return g, g, inf, zero, ("POWER_DESC", "HYP_U_IN_1/Z"), +1
     if pair_id == 2:
         g = GaugeMap(exp_z=iw, exp_inv=b1, power=-ie - b2 / 2)
         inf = TermScheme(pow_const=-2 * iw, pow_sign=-1)
-        zero = TermScheme(a0=2 + ie - b2 / 2, b0=2 + 2 * ie, db=1, h=-b1, m=-1)
+        zero = TermScheme(a0=2 + ie - b2 / 2, b0=2 + 2 * ie, db=1, arg=VarMap("inversion", -b1))
         return g, g, inf, zero, ("POWER_DESC", "HYP_U_IN_1/Z"), -1
     if pair_id == 3:
         g = GaugeMap(exp_z=iw)
-        inf = TermScheme(a0=ie + b2 / 2, b0=b2, db=1, h=-2 * iw, m=1)
+        inf = TermScheme(a0=ie + b2 / 2, b0=b2, db=1, arg=VarMap("linear", -2 * iw))
         zero = TermScheme(pow_const=1 / b1, pow_sign=1)
         return g, g, inf, zero, ("HYP_U_IN_Z", "POWER_ASC"), +1
     if pair_id == 4:
         g = GaugeMap(exp_z=iw, exp_inv=b1, power=2 - b2)
-        inf = TermScheme(a0=2 + ie - b2 / 2, b0=4 - b2, db=1, h=-2 * iw, m=1)
+        inf = TermScheme(a0=2 + ie - b2 / 2, b0=4 - b2, db=1, arg=VarMap("linear", -2 * iw))
         zero = TermScheme(pow_const=-1 / b1, pow_sign=1)
         return g, g, inf, zero, ("HYP_U_IN_Z", "POWER_ASC"), -1
     raise ValueError("pair_id must be 1..4")
@@ -328,13 +329,13 @@ def _coulomb_pair(table: int, params: DcheParams, nu: complex, seq: CoeffSeq):
     if table == 1:
         exp_inv, hp = 0.0, +1
         s_zero = TermScheme(pow_const=1 / b1, pow_sign=-1,
-                            a0=nu + b2 / 2, b0=2 * nu + 2, db=2, h=b1, m=-1)
+                            a0=nu + b2 / 2, b0=2 * nu + 2, db=2, arg=VarMap("inversion", b1))
     else:
         exp_inv, hp = b1, -1
         s_zero = TermScheme(pow_const=-1 / b1, pow_sign=-1,
-                            a0=nu + 2 - b2 / 2, b0=2 * nu + 2, db=2, h=-b1, m=-1)
+                            a0=nu + 2 - b2 / 2, b0=2 * nu + 2, db=2, arg=VarMap("inversion", -b1))
     s_inf = TermScheme(pow_const=-2 * iw, pow_sign=1,
-                       a0=nu + 1 + ie, b0=2 * nu + 2, db=2, h=-2 * iw, m=1)
+                       a0=nu + 1 + ie, b0=2 * nu + 2, db=2, arg=VarMap("linear", -2 * iw))
     u_inf = DcheSolution(
         family="COULOMB_NU", pair_id=table, variant="AT_INF", params=params, coeffs=seq,
         gauge=GaugeMap(exp_z=iw, exp_inv=exp_inv, power=nu + 1 - b2 / 2),

@@ -18,6 +18,8 @@ U(a, b, z) is evaluated by one of three strategies:
 A cancellation monitor falls back to arbitrary precision (mpmath) when
 the double-precision route would lose too many digits.
 
+U is computed on every call; nothing is kept between calls.
+
 SciPy is not imported with this module: ``gamma`` and ``rgamma`` load
 SciPy's complex ufuncs on their first call, so importing the package
 (and every CLI command that never needs Gamma) stays free of SciPy.
@@ -26,7 +28,7 @@ SciPy's complex ufuncs on their first call, so importing the package
 from __future__ import annotations
 
 import cmath
-from functools import cache, lru_cache
+from functools import cache
 
 import mpmath
 
@@ -173,8 +175,26 @@ def _u_mpmath(a: complex, b: complex, z: complex) -> complex:
         return complex(mpmath.hyperu(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z)))
 
 
-@lru_cache(maxsize=200_000)
-def _hyp_u_cached(a: complex, b: complex, z: complex) -> complex:
+def hyp_u(a, b, z) -> complex:
+    """Irregular confluent hypergeometric function U(a, b, z), principal branch.
+
+    Parameters
+    ----------
+    a, b, z : complex
+        ``z`` must be nonzero (z = 0 is a branch point in general).
+
+    Raises
+    ------
+    BranchError
+        at z = 0.
+    ConvergenceError
+        when no strategy reaches the working tolerance.
+    """
+    a = _as_complex(a)
+    b = _as_complex(b)
+    z = _as_complex(z)
+    if z == 0:
+        raise BranchError("U(a, b, z) has a branch point at z = 0")
     # Polynomial degeneration: exact for a in {0, -1, -2, ...}.
     if _is_nonpositive_integer(a):
         l = int(round(-a.real))
@@ -209,37 +229,21 @@ def _hyp_u_cached(a: complex, b: complex, z: complex) -> complex:
     return _u_mpmath(a, b, z)
 
 
-def hyp_u(a, b, z) -> complex:
-    """Irregular confluent hypergeometric function U(a, b, z), principal branch.
-
-    Parameters
-    ----------
-    a, b, z : complex
-        ``z`` must be nonzero (z = 0 is a branch point in general).
-
-    Raises
-    ------
-    BranchError
-        at z = 0.
-    ConvergenceError
-        when no strategy reaches the working tolerance.
-    """
-    a = _as_complex(a)
-    b = _as_complex(b)
-    z = _as_complex(z)
-    if z == 0:
-        raise BranchError("U(a, b, z) has a branch point at z = 0")
-    return _hyp_u_cached(a, b, z)
+def u_shift_factor(a: complex, order: int) -> complex:
+    """(-1)^k (a)_k in d^k/dz^k U(a,b,z) = (-1)^k (a)_k U(a+k, b+k, z), DLMF 13.3.22."""
+    if order < 0 or int(order) != order:
+        raise DomainError(f"derivative order must be a nonnegative integer, got {order}")
+    c = 1.0 + 0.0j
+    for j in range(int(order)):
+        c *= -(a + j)
+    return c
 
 
 def hyp_u_dz(a, b, z, order: int = 1) -> complex:
-    """Derivative d^k/dz^k U(a,b,z) via the parameter-shift relation."""
+    """Derivative d^k/dz^k U(a,b,z), k = order an integer >= 0, by the parameter shift."""
     a = _as_complex(a)
     b = _as_complex(b)
-    c = 1.0 + 0.0j
-    for j in range(order):
-        c *= -(a + j)
-    return c * hyp_u(a + order, b + order, z)
+    return u_shift_factor(a, order) * hyp_u(a + order, b + order, z)
 
 
 def whittaker_w(kappa, mu, y) -> complex:
@@ -247,6 +251,8 @@ def whittaker_w(kappa, mu, y) -> complex:
     kappa = _as_complex(kappa)
     mu = _as_complex(mu)
     y = _as_complex(y)
+    if y == 0:
+        raise BranchError("W_{kappa,mu}(y) has a branch point at y = 0")
     return (
         cmath.exp(-y / 2)
         * cmath.exp((mu + 0.5) * cmath.log(y))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import dcheun.solutions
 from dcheun.cli import format_complex, main, parse_complex
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -49,6 +50,24 @@ def test_eval_terminating_setup(capsys):
     rec = payload["records"][0]
     assert rec["residual"] < 1e-10
     assert rec["warnings"] == ""
+
+
+def test_eval_evaluates_each_point_once(capsys, monkeypatch):
+    # the residual is formed from the (value, d1, d2) already computed
+    real_evaluate, points = dcheun.solutions.evaluate, []
+
+    def counting_evaluate(sol, z, *args):
+        points.append(z)
+        return real_evaluate(sol, z, *args)
+
+    monkeypatch.setattr(dcheun.solutions, "evaluate", counting_evaluate)
+    code, out, _ = run_cli(
+        capsys, "eval", "--params", "1,1,0.5,0.5i,0.5i",
+        "--pair", "1", "--variant", "zero", "--z", "1", "2",
+    )
+    assert code == 0
+    assert len(json.loads(out)["records"]) == 2
+    assert points == [1, 2]
 
 
 def test_eval_sector_warning_field(capsys):

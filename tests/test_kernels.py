@@ -1,5 +1,6 @@
 """Integral relations: kernels, transforms, boundary terms, closed forms."""
 
+import cmath
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ from dcheun.kernels import (
     KernelSpec,
     appendix_closed_form,
     appendix_integral,
+    contour_quad,
     kernel_value,
     r3_companion,
     verify_adjoint,
@@ -172,3 +174,17 @@ def test_whittaker_index_misprint_detected():
     # misprinted lam - mu/2
     assert whittaker_index_check(0.3, 0.2, 0.8, 1.5, corrected=True) < 1e-8
     assert whittaker_index_check(0.3, 0.2, 0.8, 1.5, corrected=False) > 1e-3
+
+
+def test_contour_quad_runs_integrand_once_per_node():
+    # quad integrates the real and the imaginary part in two passes over
+    # mostly the same nodes; each node's complex value is computed once
+    nodes = []
+
+    def f(t, tm1):
+        nodes.append(tm1)
+        return cmath.exp(-(1 + 1j) * t)
+
+    val = contour_quad(f)
+    assert abs(val - cmath.exp(-(1 + 1j)) / (1 + 1j)) < 1e-12
+    assert len(nodes) == len(set(nodes)) > 0

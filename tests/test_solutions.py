@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dcheun.solutions
 from dcheun.core import DcheParams, residual_parts
 from dcheun.errors import DenominatorError, DomainError, NoConvergence, SectorWarning
 from dcheun.recurrence import char_root, finite_series_condition, tridiag_eigen
@@ -281,3 +282,24 @@ def test_degenerate_pair_2_residual(ie, form):
     for t in (-0.6, -0.3, 0.0, 0.3, 0.6):
         z = 0.65 * cmath.exp(1j * t)
         assert rel_residual(pt, u_inf, z) < 1e-8, (form, z)
+
+
+@pytest.mark.parametrize("build, calls", [(build_pair_power, 3 + 2), (build_pair_coulomb, 3 * 3)])
+def test_u_computed_once_per_series_point(build, calls, monkeypatch):
+    # B2 = 0.5, i eta = -2.25 ends pair 3 after N = 3 terms, all dyadic so
+    # a0 + n + j is exact; the member at infinity has db = 1 (power pair:
+    # terms share U values, N + 2 calls) and db = 2 (Coulomb: 3N calls)
+    p = DcheParams(1.0, 0.5, 0.25, 0.5j, 2.25j)
+    u_inf, _ = build(3, p)
+    assert u_inf.finite and all(u_inf.coeffs.values)
+    real_u, seen = dcheun.solutions.hyp_u, []
+
+    def counting_u(a, b, w):
+        seen.append((a, b, w))
+        return real_u(a, b, w)
+
+    monkeypatch.setattr(dcheun.solutions, "hyp_u", counting_u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        u_inf(1.2 + 0.3j)
+    assert len(seen) == calls == len(set(seen))

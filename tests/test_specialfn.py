@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
-from dcheun.errors import PoleError
+from dcheun.errors import BranchError, DomainError, PoleError
 from dcheun.specialfn import gamma, hyp_u, hyp_u_dz, kummer_transform, laguerre, whittaker_w
 
 
@@ -131,3 +131,15 @@ def test_gamma_pole_rejected():
         gamma(0.0)
     with pytest.raises(PoleError):
         gamma(-3.0)
+
+
+@pytest.mark.parametrize("order", [-1, 0.5])
+def test_u_derivative_order_must_be_nonnegative_integer(order):
+    # a shift by order -1 gives U(a - 1, b - 1, z), which is no derivative
+    with pytest.raises(DomainError):
+        hyp_u_dz(1.5, 2.5, 1.0, order)
+
+
+def test_whittaker_branch_point_rejected():
+    with pytest.raises(BranchError):
+        whittaker_w(0.3, 0.2, 0)
