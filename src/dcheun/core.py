@@ -77,10 +77,6 @@ class VarMap:
             raise ValueError(f"unknown variable map kind {self.kind!r}")
         object.__setattr__(self, "const", _c(self.const))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.kind == "linear" and self.const == 1.0
-
     def apply(self, z: complex) -> complex:
         return self.derivatives(z)[0]
 
@@ -116,16 +112,6 @@ class GaugeMap:
     def __post_init__(self):
         for name in ("exp_z", "exp_inv", "power", "const"):
             object.__setattr__(self, name, _c(getattr(self, name)))
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.exp_z == 0
-            and self.exp_inv == 0
-            and self.power == 0
-            and self.const == 1
-            and self.varmap.is_identity
-        )
 
     def prefactor(self, z: complex) -> complex:
         p = cmath.exp(self.exp_z * z + self.exp_inv / z)

@@ -3,7 +3,7 @@
 Two kernels connect the members of each solution pair: applying the
 transform integral to the member built at infinity reproduces the member
 built at zero up to a constant.  This module evaluates the kernels,
-checks the adjoint-operator identity by finite differences, performs the
+checks the adjoint-operator identity with exact derivatives, performs the
 transform quadrature, monitors the boundary ('integrated') terms, and
 verifies the closed-form integrals the derivations rest on.
 """
@@ -87,19 +87,29 @@ def kernel_value(spec: KernelSpec, z, t, exponent_shift: complex = 0.0) -> compl
     )
 
 
-def _d1(f: Callable[[float], complex], x: float, h: float) -> complex:
-    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+def _log_derivatives(spec: KernelSpec, z: complex, t: complex, exponent_shift: complex):
+    """((log K)_z, (log K)_zz, (log K)_t, (log K)_tt) at (z, t), in closed form.
 
-
-def _d2(f: Callable[[float], complex], x: float, h: float) -> complex:
-    return (
-        -f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h) - f(x + 2 * h)
-    ) / (12 * h * h)
-
-
-def _richardson(stencil, f, x, h):
-    # fourth-order stencils; one halving step lifts them to sixth order
-    return (16 * stencil(f, x, h / 2) - stencil(f, x, h)) / 15
+    K is a product of exponentials and powers.  With xi proportional to
+    z t and q = xi / (xi - 1), the factor (xi - 1)^pw adds pw q / z to
+    (log K)_z and -pw q^2 / z^2 to (log K)_zz; likewise in t.
+    """
+    p = spec.params
+    xi = spec.contour_variable(z, t)
+    pw = spec.power_exponent + exponent_shift
+    q = xi / (xi - 1)
+    lz, lzz = pw * q / z, -pw * q * q / (z * z)
+    lt, ltt = pw * q / t, -pw * q * q / (t * t)
+    iw = 1j * p.omega
+    if spec.kind == "K1":  # e^{i w (z + t) + B1/z} z^(2 - B2)
+        lz += iw - p.b1 / (z * z) + (2 - p.b2) / z
+        lzz += 2 * p.b1 / z**3 - (2 - p.b2) / (z * z)
+        lt += iw
+    else:  # e^{i w (z + t) - B1/t} t^(B2 - 2)
+        lz += iw
+        lt += iw + p.b1 / (t * t) + (p.b2 - 2) / t
+        ltt += -2 * p.b1 / t**3 - (p.b2 - 2) / (t * t)
+    return lz, lzz, lt, ltt
 
 
 def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -> float:
@@ -109,7 +119,7 @@ def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -
     L_z = z^2 d2/dz2 + (B1 + B2 z) d/dz + (w^2 z^2 - 2 w eta z) and
     Lbar_t = t^2 d2/dt2 + (-B1 + (4 - B2) t) d/dt
     + (w^2 t^2 - 2 w eta t + 2 - B2).
-    Derivatives are step-extrapolated central differences.
+    Derivatives are exact: K' = K (log K)' and K'' = K ((log K)'^2 + (log K)'').
     """
     p = spec.params
     if grid is None:
@@ -117,27 +127,20 @@ def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -
     worst = 0.0
     for z0, t0 in grid:
         z0, t0 = complex(z0), complex(t0)
-
-        def kz(x):
-            return kernel_value(spec, x, t0, exponent_shift)
-
-        def kt(x):
-            return kernel_value(spec, z0, x, exponent_shift)
-
-        h = 1e-2 * max(abs(z0), 1.0)
-        lz = (
-            z0 * z0 * _richardson(_d2, kz, z0.real, h)
-            + (p.b1 + p.b2 * z0) * _richardson(_d1, kz, z0.real, h)
-            + (p.omega**2 * z0 * z0 - 2 * p.omega * p.eta * z0) * kz(z0.real)
+        k = kernel_value(spec, z0, t0, exponent_shift)
+        lz, lzz, lt, ltt = _log_derivatives(spec, z0, t0, exponent_shift)
+        lhs = k * (
+            z0 * z0 * (lz * lz + lzz)
+            + (p.b1 + p.b2 * z0) * lz
+            + (p.omega**2 * z0 * z0 - 2 * p.omega * p.eta * z0)
         )
-        h = 1e-2 * max(abs(t0), 1.0)
-        lt = (
-            t0 * t0 * _richardson(_d2, kt, t0.real, h)
-            + (-p.b1 + (4 - p.b2) * t0) * _richardson(_d1, kt, t0.real, h)
-            + (p.omega**2 * t0 * t0 - 2 * p.omega * p.eta * t0 + 2 - p.b2) * kt(t0.real)
+        rhs = k * (
+            t0 * t0 * (lt * lt + ltt)
+            + (-p.b1 + (4 - p.b2) * t0) * lt
+            + (p.omega**2 * t0 * t0 - 2 * p.omega * p.eta * t0 + 2 - p.b2)
         )
-        scale = max(abs(lz), abs(lt), 1e-300)
-        worst = max(worst, abs(lz - lt) / scale)
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        worst = max(worst, abs(lhs - rhs) / scale)
     return worst
 
 

@@ -1,14 +1,16 @@
 """Solution families for the two-point confluent equation.
 
-Four pairs of power / hypergeometric series (with sign-flipped images
-5..8) and the Coulomb-type pairs.  Every Coulomb pair is built from one
-coefficient table in a phase parameter nu (table 1 or 2, differing in
-the exponential factor at zero) and one layout.  The two-sided pairs
-take nu from the two-tail characteristic equation.  The one-sided pairs
-1..4 sit at nu = i*eta (tables 1, 2), nu = B2/2 - 1 (table 1) and
-nu = 1 - B2/2 (table 2), where alpha(-1) = 0 cuts the series off below
-n = 0.  Each solution evaluates its value and two derivatives; pairs
-share a single coefficient sequence.
+Four pairs of power / hypergeometric series and the Coulomb-type pairs.
+Only pairs 1 and 3 are written out.  Pairs 2 and 4 are their r2 images
+(B1 -> -B1, B2 -> 4 - B2) and pairs 5..8 the r3 images of pairs 1..4
+(eta, omega -> -eta, -omega): each image is the source pair built at the
+rule's parameters and carried back by the rule's gauge.  Every Coulomb
+pair is built from one coefficient table in a phase parameter nu and one
+layout.  The two-sided pairs take nu from the two-tail characteristic
+equation.  The one-sided pairs 1 and 3 sit at nu = i*eta and
+nu = B2/2 - 1, where alpha(-1) = 0 cuts the series off below n = 0.
+Each solution evaluates its value and two derivatives; pairs share a
+single coefficient sequence.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from .core import DcheParams, GaugeMap, VarMap, apply_rule
 from .errors import DenominatorError, DomainError, NoConvergence, SectorWarning
@@ -33,7 +35,6 @@ from .specialfn import hyp_u, u_shift_factor
 
 FAMILIES = ("POWER_DESC", "POWER_ASC", "HYP_U_IN_1/Z", "HYP_U_IN_Z", "COULOMB_NU")
 
-_SECTOR = (-1.5 * cmath.pi, 1.5 * cmath.pi)
 _TRUNC_TOL = 1e-16
 _DEN_TOL = 1e-9
 
@@ -99,14 +100,8 @@ class DcheSolution:
     coeffs: CoeffSeq
     gauge: GaugeMap  # prefactor multiplying the term series
     scheme: TermScheme
-    sector: Tuple[float, float] = _SECTOR
-    sector_of: str = ""        # which combination the sector constrains
     halfplane_sign: int = 0    # sign s with s*Re(B1/z) > 0 required (0: none)
     nu: Optional[complex] = None
-
-    @property
-    def domain(self) -> str:
-        return "|z|>0" if self.variant == "AT_INF" else "|z|<inf"
 
     @property
     def finite(self) -> bool:
@@ -174,13 +169,43 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     )
 
 
-# Coefficient tables for the four power/hypergeometric pairs.
-def power_coeffs(pair_id: int, params: DcheParams) -> ThreeTermCoeffs:
-    """Three-term coefficient closures for pairs 1..4 of the power family."""
+def _r2_source(pair_id: int, params: DcheParams):
+    """(pair, parameters) whose rows pair ``pair_id`` (1..4) takes: pairs 2
+    and 4 take those of pairs 1 and 3 at the r2 parameters."""
     params.require_nondegenerate()
-    b1, b2, b3 = params.b1, params.b2, params.b3
+    if pair_id not in (1, 2, 3, 4):
+        raise ValueError("pair_id must be 1..4")
+    if pair_id % 2:
+        return pair_id, params
+    return pair_id - 1, apply_rule("r2", params)[0]
+
+
+def _rule_image(build, rule: str, source: int, target: int, params: DcheParams, *args):
+    """Pair ``target`` as the ``rule`` image of pair ``source``.
+
+    ``build(source, ...)`` at the rule's parameters solves the image
+    equation; the rule's gauge carries each member back to ``params``.
+    The half-plane condition follows B1, which r2 flips and r3 keeps.
+    """
+    image, gauge = apply_rule(rule, params)
+    flip = 1 if image.b1 == params.b1 else -1
+    return tuple(
+        replace(m, pair_id=target, params=params, gauge=gauge.compose(m.gauge),
+                halfplane_sign=flip * m.halfplane_sign)
+        for m in build(source, image, *args)
+    )
+
+
+# Coefficient tables of the power/hypergeometric pairs.
+def power_coeffs(pair_id: int, params: DcheParams) -> ThreeTermCoeffs:
+    """Three-term coefficient closures for pairs 1..4 of the power family.
+
+    Pairs 2 and 4 are the rows of pairs 1 and 3 at the r2 parameters.
+    """
+    pair_id, params = _r2_source(pair_id, params)
+    b2, b3 = params.b2, params.b3
     ie = params.i_eta
-    iwb = 1j * params.omega * b1
+    iwb = 1j * params.omega * params.b1
     if pair_id == 1:
         const = iwb + b3 + (b2 / 2 + ie) * (1 + ie - b2 / 2)
         return ThreeTermCoeffs(
@@ -188,54 +213,25 @@ def power_coeffs(pair_id: int, params: DcheParams) -> ThreeTermCoeffs:
             beta=lambda n: n * (n + 1 + 2 * ie) + const,
             gamma=lambda n: 2 * iwb * (n + ie + b2 / 2 - 1),
         )
-    if pair_id == 2:
-        const = -iwb + b3 + (b2 / 2 + ie) * (1 + ie - b2 / 2)
-        return ThreeTermCoeffs(
-            alpha=lambda n: n + 1.0 + 0.0j,
-            beta=lambda n: n * (n + 1 + 2 * ie) + const,
-            gamma=lambda n: -2 * iwb * (n + 1 + ie - b2 / 2),
-        )
-    if pair_id == 3:
-        return ThreeTermCoeffs(
-            alpha=lambda n: n + 1.0 + 0.0j,
-            beta=lambda n: n * (n + b2 - 1) + iwb + b3,
-            gamma=lambda n: 2 * iwb * (n + ie + b2 / 2 - 1),
-        )
-    if pair_id == 4:
-        return ThreeTermCoeffs(
-            alpha=lambda n: n + 1.0 + 0.0j,
-            beta=lambda n: n * (n + 3 - b2) + 2 - iwb - b2 + b3,
-            gamma=lambda n: -2 * iwb * (n + 1 + ie - b2 / 2),
-        )
-    raise ValueError("pair_id must be 1..4")
+    return ThreeTermCoeffs(
+        alpha=lambda n: n + 1.0 + 0.0j,
+        beta=lambda n: n * (n + b2 - 1) + iwb + b3,
+        gamma=lambda n: 2 * iwb * (n + ie + b2 / 2 - 1),
+    )
 
 
 def _power_pair_layout(pair_id: int, params: DcheParams):
-    """(gauge, scheme_inf, scheme_zero, families, halfplane sign) for pairs 1..4."""
+    """(gauge, scheme at infinity, scheme at zero, families) for pairs 1 and 3."""
     b1, b2 = params.b1, params.b2
     ie = params.i_eta
     iw = 1j * params.omega
     if pair_id == 1:
-        g = GaugeMap(exp_z=iw, power=-ie - b2 / 2)
         inf = TermScheme(pow_const=-2 * iw, pow_sign=-1)
         zero = TermScheme(a0=ie + b2 / 2, b0=2 + 2 * ie, db=1, arg=VarMap("inversion", b1))
-        return g, g, inf, zero, ("POWER_DESC", "HYP_U_IN_1/Z"), +1
-    if pair_id == 2:
-        g = GaugeMap(exp_z=iw, exp_inv=b1, power=-ie - b2 / 2)
-        inf = TermScheme(pow_const=-2 * iw, pow_sign=-1)
-        zero = TermScheme(a0=2 + ie - b2 / 2, b0=2 + 2 * ie, db=1, arg=VarMap("inversion", -b1))
-        return g, g, inf, zero, ("POWER_DESC", "HYP_U_IN_1/Z"), -1
-    if pair_id == 3:
-        g = GaugeMap(exp_z=iw)
-        inf = TermScheme(a0=ie + b2 / 2, b0=b2, db=1, arg=VarMap("linear", -2 * iw))
-        zero = TermScheme(pow_const=1 / b1, pow_sign=1)
-        return g, g, inf, zero, ("HYP_U_IN_Z", "POWER_ASC"), +1
-    if pair_id == 4:
-        g = GaugeMap(exp_z=iw, exp_inv=b1, power=2 - b2)
-        inf = TermScheme(a0=2 + ie - b2 / 2, b0=4 - b2, db=1, arg=VarMap("linear", -2 * iw))
-        zero = TermScheme(pow_const=-1 / b1, pow_sign=1)
-        return g, g, inf, zero, ("HYP_U_IN_Z", "POWER_ASC"), -1
-    raise ValueError("pair_id must be 1..4")
+        return GaugeMap(exp_z=iw, power=-ie - b2 / 2), inf, zero, ("POWER_DESC", "HYP_U_IN_1/Z")
+    inf = TermScheme(a0=ie + b2 / 2, b0=b2, db=1, arg=VarMap("linear", -2 * iw))
+    zero = TermScheme(pow_const=1 / b1, pow_sign=1)
+    return GaugeMap(exp_z=iw), inf, zero, ("HYP_U_IN_Z", "POWER_ASC")
 
 
 def _one_sided_seq(tc: ThreeTermCoeffs, pair_id: int, params: DcheParams, n_terms: int):
@@ -253,24 +249,25 @@ def build_pair_power(pair_id: int, params: DcheParams, n_terms: int = 60):
     condition holds, n_terms is clipped to the finite length N and the
     series is generated exactly; otherwise the minimal solution is built
     (meaningful when the constant term satisfies the characteristic
-    equation).
+    equation).  Pairs 2 and 4 are the r2 images of pairs 1 and 3.
     """
+    if pair_id in (2, 4):
+        return _rule_image(build_pair_power, "r2", pair_id - 1, pair_id, params, n_terms)
     seq = _one_sided_seq(power_coeffs(pair_id, params), pair_id, params, n_terms)
-    g_inf, g_zero, s_inf, s_zero, fams, hp = _power_pair_layout(pair_id, params)
+    gauge, s_inf, s_zero, fams = _power_pair_layout(pair_id, params)
     u_inf = DcheSolution(
         family=fams[0], pair_id=pair_id, variant="AT_INF", params=params,
-        coeffs=seq, gauge=g_inf, scheme=s_inf, sector_of="-2i*omega*z",
+        coeffs=seq, gauge=gauge, scheme=s_inf,
     )
     u_zero = DcheSolution(
         family=fams[1], pair_id=pair_id, variant="AT_ZERO", params=params,
-        coeffs=seq, gauge=g_zero, scheme=s_zero,
-        sector_of=("B1/z" if hp > 0 else "-B1/z"), halfplane_sign=hp,
+        coeffs=seq, gauge=gauge, scheme=s_zero, halfplane_sign=+1,
     )
     return u_inf, u_zero
 
 
 def r3_family(pair_id: int, params: DcheParams, n_terms: int = 60):
-    """Pairs 5..8: sign-flipped images of pairs 1..4.
+    """Pairs 5..8: the r3 (sign-flip) images of pairs 1..4.
 
     The sign-flip rule has an identity gauge, so the members are the
     pairs built at the flipped parameters, relabeled to solve the
@@ -278,83 +275,63 @@ def r3_family(pair_id: int, params: DcheParams, n_terms: int = 60):
     """
     if pair_id not in (1, 2, 3, 4):
         raise ValueError("pair_id must be 1..4")
-    p3, _ = apply_rule("r3", params)
-    u_inf, u_zero = build_pair_power(pair_id, p3, n_terms)
-    u_inf = replace(u_inf, pair_id=pair_id + 4, params=params, sector_of="2i*omega*z")
-    u_zero = replace(u_zero, pair_id=pair_id + 4, params=params)
-    return u_inf, u_zero
+    return _rule_image(build_pair_power, "r3", pair_id, pair_id + 4, params, n_terms)
 
 
 # Coulomb-type pairs: one table and one layout in the phase parameter nu.
-def _coulomb_table(table: int, params: DcheParams, nu) -> ThreeTermCoeffs:
-    """One-sided closures of Coulomb coefficient table 1 or 2 at phase nu."""
+def _coulomb_table(params: DcheParams, nu) -> ThreeTermCoeffs:
+    """One-sided closures of the Coulomb coefficient table at phase nu."""
     b2, b3 = params.b2, params.b3
     ie = params.i_eta
     nu = complex(nu)
     iwb = 1j * params.omega * params.b1
     ewb = params.eta * params.omega * params.b1
-    if table == 1:
-        def alpha(n):
-            return (iwb * (n + nu + 2 - b2 / 2) * (n + nu + 1 - ie)
-                    / (2 * (n + nu + 1) * (n + nu + 1.5)))
 
-        def beta(n):
-            return (b3 + (n + nu + 1 - b2 / 2) * (n + nu + b2 / 2)
-                    + ewb * (b2 / 2 - 1) / ((n + nu) * (n + nu + 1)))
+    def alpha(n):
+        return (iwb * (n + nu + 2 - b2 / 2) * (n + nu + 1 - ie)
+                / (2 * (n + nu + 1) * (n + nu + 1.5)))
 
-        def gamma(n):
-            return (iwb * (n + nu + b2 / 2 - 1) * (n + nu + ie)
-                    / (2 * (n + nu) * (n + nu - 0.5)))
-    else:
-        def alpha(n):
-            return (iwb * (n + nu + b2 / 2) * (n + nu + 1 - ie)
-                    / (2 * (n + nu + 1) * (n + nu + 1.5)))
+    def beta(n):
+        return (b3 + (n + nu + 1 - b2 / 2) * (n + nu + b2 / 2)
+                + ewb * (b2 / 2 - 1) / ((n + nu) * (n + nu + 1)))
 
-        def beta(n):
-            return (-b3 - (n + nu + 1 - b2 / 2) * (n + nu + b2 / 2)
-                    - ewb * (b2 / 2 - 1) / ((n + nu) * (n + nu + 1)))
-
-        def gamma(n):
-            return (iwb * (n + nu + 1 - b2 / 2) * (n + nu + ie)
-                    / (2 * (n + nu) * (n + nu - 0.5)))
+    def gamma(n):
+        return (iwb * (n + nu + b2 / 2 - 1) * (n + nu + ie)
+                / (2 * (n + nu) * (n + nu - 0.5)))
 
     return ThreeTermCoeffs(alpha=alpha, beta=beta, gamma=gamma)
 
 
-def _coulomb_pair(table: int, params: DcheParams, nu: complex, seq: CoeffSeq):
-    """(U at infinity, U at zero) members of table 1 or 2 at phase nu."""
+def _coulomb_pair(params: DcheParams, nu: complex, seq: CoeffSeq):
+    """(U at infinity, U at zero) members of the table at phase nu."""
     b1, b2 = params.b1, params.b2
     ie = params.i_eta
     iw = 1j * params.omega
-    if table == 1:
-        exp_inv, hp = 0.0, +1
-        s_zero = TermScheme(pow_const=1 / b1, pow_sign=-1,
-                            a0=nu + b2 / 2, b0=2 * nu + 2, db=2, arg=VarMap("inversion", b1))
-    else:
-        exp_inv, hp = b1, -1
-        s_zero = TermScheme(pow_const=-1 / b1, pow_sign=-1,
-                            a0=nu + 2 - b2 / 2, b0=2 * nu + 2, db=2, arg=VarMap("inversion", -b1))
     s_inf = TermScheme(pow_const=-2 * iw, pow_sign=1,
                        a0=nu + 1 + ie, b0=2 * nu + 2, db=2, arg=VarMap("linear", -2 * iw))
+    s_zero = TermScheme(pow_const=1 / b1, pow_sign=-1,
+                        a0=nu + b2 / 2, b0=2 * nu + 2, db=2, arg=VarMap("inversion", b1))
     u_inf = DcheSolution(
-        family="COULOMB_NU", pair_id=table, variant="AT_INF", params=params, coeffs=seq,
-        gauge=GaugeMap(exp_z=iw, exp_inv=exp_inv, power=nu + 1 - b2 / 2),
-        scheme=s_inf, sector_of="-2i*omega*z", nu=nu,
+        family="COULOMB_NU", pair_id=1, variant="AT_INF", params=params, coeffs=seq,
+        gauge=GaugeMap(exp_z=iw, power=nu + 1 - b2 / 2), scheme=s_inf, nu=nu,
     )
     u_zero = DcheSolution(
-        family="COULOMB_NU", pair_id=table, variant="AT_ZERO", params=params, coeffs=seq,
-        gauge=GaugeMap(exp_z=iw, exp_inv=exp_inv, power=-nu - b2 / 2),
-        scheme=s_zero, sector_of=("B1/z" if hp > 0 else "-B1/z"), halfplane_sign=hp, nu=nu,
+        family="COULOMB_NU", pair_id=1, variant="AT_ZERO", params=params, coeffs=seq,
+        gauge=GaugeMap(exp_z=iw, power=-nu - b2 / 2), scheme=s_zero, halfplane_sign=+1, nu=nu,
     )
     return u_inf, u_zero
 
 
 def coulomb_nu_coeffs(pair_id: int, params: DcheParams, nu) -> ThreeTermCoeffs:
-    """Fractional coefficient closures of the two-sided Coulomb pairs."""
+    """Fractional coefficient closures of the two-sided Coulomb pairs.
+
+    Pair 2 takes the rows of pair 1 at the r2 parameters.
+    """
     params.require_nondegenerate()
     if pair_id not in (1, 2):
         raise ValueError("pair_id must be 1 or 2 for the phase-parameter family")
-    return replace(_coulomb_table(pair_id, params, nu), two_sided=True)
+    _, params = _r2_source(pair_id, params)
+    return replace(_coulomb_table(params, nu), two_sided=True)
 
 
 def _check_nu_denominators(nu: complex, window: int):
@@ -371,8 +348,11 @@ def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 24
     """Two-sided Coulomb pair with phase parameter nu.
 
     ``nu`` should solve the two-tail characteristic equation; a residual
-    check is performed and a warning issued if it fails.
+    check is performed and a warning issued if it fails.  Pair 2 is the
+    r2 image of pair 1.
     """
+    if pair_id == 2:
+        return _rule_image(build_pair_coulomb_nu, "r2", 1, 2, params, nu, window)
     nu = complex(nu)
     tc = coulomb_nu_coeffs(pair_id, params, nu)
     _check_nu_denominators(nu, window)
@@ -383,14 +363,13 @@ def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 24
             f"(|value| = {abs(cv):.2e}); series will not solve the equation",
             UserWarning,
         )
-    return _coulomb_pair(pair_id, params, nu, generate_two_sided(tc, window=window))
+    return _coulomb_pair(params, nu, generate_two_sided(tc, window=window))
 
 
 # Truncated (one-sided) Coulomb pairs: rows of the table at a fixed phase.
-def _coulomb_phase(pair_id: int, params: DcheParams):
-    """(table, nu) of the truncated pair; alpha(-1) vanishes there."""
-    ie, half = params.i_eta, params.b2 / 2
-    return {1: (1, ie), 2: (2, ie), 3: (1, half - 1), 4: (2, 1 - half)}[pair_id]
+def _coulomb_phase(pair_id: int, params: DcheParams) -> complex:
+    """Phase nu of truncated pair 1 or 3; alpha(-1) vanishes there."""
+    return params.i_eta if pair_id == 1 else params.b2 / 2 - 1
 
 
 def _near_value(x: complex, v: float) -> bool:
@@ -401,13 +380,19 @@ def coulomb_form(pair_id: int, params: DcheParams) -> str:
     """Recurrence form for the truncated Coulomb pair at these parameters.
 
     FORM_R3A marks nu = 0 and FORM_R2A nu = -1/2, where one table entry
-    is 0/0: pairs 1-2 switch on i*eta, pairs 3-4 on B2.  Parameter values
-    that make a denominator vanish without a finite limit raise
-    DenominatorError with the applicable remedy.
+    is 0/0: pairs 1-2 switch on i*eta, pairs 3-4 on B2 (pairs 2 and 4 at
+    the r2 parameters, B2 -> 4 - B2).  Parameter values that make a
+    denominator vanish without a finite limit raise DenominatorError with
+    the applicable remedy.
     """
-    ie = params.i_eta
-    b2 = params.b2
-    if pair_id in (1, 2):
+    return _coulomb_form(pair_id, *_r2_source(pair_id, params))
+
+
+def _coulomb_form(pair_id: int, source: int, params: DcheParams) -> str:
+    """Form of truncated pair ``pair_id``, whose rows are those of pair
+    ``source`` (1 or 3) at ``params``."""
+    if source == 1:
+        ie = params.i_eta
         if _near_value(ie, -0.5):
             return "FORM_R2A"
         if _near_value(ie, 0.0):
@@ -420,48 +405,39 @@ def coulomb_form(pair_id: int, params: DcheParams) -> str:
                 "the sign-reversal rule (eta, omega) -> (-eta, -omega) first"
             )
         return "FORM_R1A"
-    if pair_id == 3:
-        if _near_value(b2, 1.0):
-            return "FORM_R2A"
-        if _near_value(b2, 2.0):
-            return "FORM_R3A"
-        two = 2 * b2
-        if abs(two.imag) < _DEN_TOL and two.real <= 0.5 and _near_value(two, round(two.real)):
-            raise DenominatorError("B2 makes a denominator vanish; use the companion pair 4")
-        return "FORM_R1A"
-    if pair_id == 4:
-        if _near_value(b2, 3.0):
-            return "FORM_R2A"
-        if _near_value(b2, 2.0):
-            return "FORM_R3A"
-        two = 2 * b2
-        if abs(two.imag) < _DEN_TOL and two.real >= 7.5 and _near_value(two, round(two.real)):
-            raise DenominatorError("B2 makes a denominator vanish; use the companion pair 3")
-        return "FORM_R1A"
-    raise ValueError("pair_id must be 1..4")
+    b2 = params.b2
+    if _near_value(b2, 1.0):
+        return "FORM_R2A"
+    if _near_value(b2, 2.0):
+        return "FORM_R3A"
+    two = 2 * b2
+    if abs(two.imag) < _DEN_TOL and two.real <= 0.5 and _near_value(two, round(two.real)):
+        raise DenominatorError(
+            f"B2 makes a denominator vanish; use the companion pair {4 if pair_id == 3 else 3}"
+        )
+    return "FORM_R1A"
 
 
 def coulomb_coeffs(pair_id: int, params: DcheParams) -> ThreeTermCoeffs:
     """One-sided coefficient closures of the truncated Coulomb pair.
 
-    The rows of the shared table at the pair's phase nu.  At nu = 0
+    The rows of the shared table at the pair's phase nu; pairs 2 and 4
+    take those of pairs 1 and 3 at the r2 parameters.  At nu = 0
     (FORM_R3A) beta(0) and at nu = -1/2 (FORM_R2A) gamma(1) are 0/0 in
     the table; they are replaced by their exact limits along the pair's
     line in nu.
     """
-    form = coulomb_form(pair_id, params)
-    table, nu = _coulomb_phase(pair_id, params)
-    tc = _coulomb_table(table, params, nu)
+    source, params = _r2_source(pair_id, params)
+    form = _coulomb_form(pair_id, source, params)
+    tc = _coulomb_table(params, _coulomb_phase(source, params))
     b2, b3 = params.b2, params.b3
     iwb = 1j * params.omega * params.b1
-    ewb = params.eta * params.omega * params.b1
     if form == "FORM_R3A":
-        lim = (-iwb * (b2 / 2 - 1), -iwb * (b2 / 2 - 1), ewb, -ewb)[pair_id - 1]
-        beta0 = (1 if table == 1 else -1) * (b3 + (1 - b2 / 2) * (b2 / 2) + lim)
+        lim = -iwb * (b2 / 2 - 1) if source == 1 else params.eta * params.omega * params.b1
+        beta0 = b3 + (1 - b2 / 2) * (b2 / 2) + lim
         return replace(tc, beta=lambda n: beta0 if n == 0 else tc.beta(n))
     if form == "FORM_R2A":
-        half_ie = 0.5 + params.i_eta
-        gamma1 = 2 * iwb * (b2 / 2 - 0.5, 1.5 - b2 / 2, half_ie, half_ie)[pair_id - 1]
+        gamma1 = 2 * iwb * (b2 / 2 - 0.5 if source == 1 else 0.5 + params.i_eta)
         return replace(tc, gamma=lambda n: gamma1 if n == 1 else tc.gamma(n))
     return tc
 
@@ -470,11 +446,14 @@ def build_pair_coulomb(pair_id: int, params: DcheParams, n_terms: int = 60):
     """Truncated Coulomb pair (U at infinity, U at zero).
 
     Termination follows the same condition, with the same N, as the
-    corresponding power/hypergeometric pair.
+    corresponding power/hypergeometric pair.  Pairs 2 and 4 are the r2
+    images of pairs 1 and 3.
     """
+    if pair_id in (2, 4):
+        coulomb_form(pair_id, params)  # a vanishing denominator names this pair's companion
+        return _rule_image(build_pair_coulomb, "r2", pair_id - 1, pair_id, params, n_terms)
     seq = _one_sided_seq(coulomb_coeffs(pair_id, params), pair_id, params, n_terms)
-    table, nu = _coulomb_phase(pair_id, params)
-    u_inf, u_zero = _coulomb_pair(table, params, nu, seq)
+    u_inf, u_zero = _coulomb_pair(params, _coulomb_phase(pair_id, params), seq)
     return (
         replace(u_inf, family="HYP_U_IN_Z", pair_id=pair_id, nu=None),
         replace(u_zero, family="HYP_U_IN_1/Z", pair_id=pair_id, nu=None),

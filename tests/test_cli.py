@@ -162,9 +162,18 @@ def test_transform_unknown_rule_exits_2(capsys):
     assert "unknown rule" in err
 
 
-@pytest.mark.parametrize("suite", ["rules", "kernels", "integrals", "pairs"])
-def test_verify_suites_pass(suite, capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7")
+@pytest.mark.parametrize("suite, seed", [
+    pytest.param("rules", 7, id="rules"),
+    pytest.param("kernels", 7, id="kernels"),
+    # finite-difference derivatives pushed the K1 adjoint defect over
+    # 1e-5 at these seeds
+    pytest.param("kernels", 0, id="kernels-seed0"),
+    pytest.param("kernels", 2, id="kernels-seed2"),
+    pytest.param("integrals", 7, id="integrals"),
+    pytest.param("pairs", 7, id="pairs"),
+])
+def test_verify_suites_pass(suite, seed, capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", str(seed))
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True

@@ -180,11 +180,18 @@ def test_coulomb_nu_pair_residuals(rng):
 
 
 def test_sector_warning_on_wrong_halfplane(rng):
-    p = tune_b3(1, draw_params(rng, b2_range=(0.3, 1.0)))
-    _, u_zero = build_pair_power(1, p)
-    bad_z = -abs(1.0 / p.b1.conjugate()) * p.b1.conjugate()  # Re(B1/z) < 0
-    with pytest.warns(SectorWarning):
-        u_zero(bad_z)
+    # the member at zero needs s*Re(B1/z) > 0: s = +1 for pairs 1 and 3,
+    # and pairs 2 and 4, the r2 images (B1 -> -B1), need s = -1
+    for pair_id, sign in ((1, +1), (2, -1), (3, +1), (4, -1)):
+        p = tune_b3(pair_id, draw_params(rng, b2_range=(0.3, 1.0)))
+        _, u_zero = build_pair_power(pair_id, p)
+        assert u_zero.halfplane_sign == sign
+        z = sign * p.b1 / abs(p.b1) ** 2  # B1/z = sign * |B1|^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SectorWarning)
+            u_zero(z)
+        with pytest.warns(SectorWarning):
+            u_zero(-z)
 
 
 def test_origin_rejected(rng):
@@ -217,8 +224,14 @@ def test_coulomb_form_selection():
     assert coulomb_form(3, DcheParams(b2=1.0, **b)) == "FORM_R2A"
     assert coulomb_form(3, DcheParams(b2=2.0, **b)) == "FORM_R3A"
     assert coulomb_form(4, DcheParams(b2=3.0, **b)) == "FORM_R2A"
-    with pytest.raises(DenominatorError):
+    assert coulomb_form(4, DcheParams(b2=2.0, **b)) == "FORM_R3A"
+    with pytest.raises(DenominatorError, match="pair 4"):
         coulomb_form(3, DcheParams(b2=0.0, **b))
+    # pair 4 reads its rows off pair 3 at B2 -> 4 - B2 = 0, but its remedy
+    # is still its own companion
+    for find in (coulomb_form, build_pair_coulomb):
+        with pytest.raises(DenominatorError, match="pair 3"):
+            find(4, DcheParams(b2=4.0, **b))
 
 
 def degenerate_limit(pair_id: int, form: str, p: DcheParams) -> complex:
@@ -226,11 +239,13 @@ def degenerate_limit(pair_id: int, form: str, p: DcheParams) -> complex:
     iwb = 1j * p.omega * p.b1
     ewb = p.eta * p.omega * p.b1
     if form == "FORM_R3A":
-        sign = 1 if pair_id in (1, 3) else -1
         lim = {1: -iwb * (p.b2 / 2 - 1), 2: -iwb * (p.b2 / 2 - 1), 3: ewb, 4: -ewb}[pair_id]
-        return sign * (p.b3 + (1 - p.b2 / 2) * (p.b2 / 2) + lim)
+        return p.b3 + (1 - p.b2 / 2) * (p.b2 / 2) + lim
+    # pairs 2 and 4 take the rows of pairs 1 and 3 at the r2 parameters,
+    # where B1 -> -B1 flips the sign of i omega B1
+    sign = 1 if pair_id in (1, 3) else -1
     f = {1: p.b2 / 2 - 0.5, 2: 1.5 - p.b2 / 2, 3: 0.5 + p.i_eta, 4: 0.5 + p.i_eta}[pair_id]
-    return 2 * iwb * f
+    return sign * 2 * iwb * f
 
 
 def degenerate_pair(pair_id: int, form: str, ie: float):

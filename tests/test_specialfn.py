@@ -90,6 +90,14 @@ def test_u_near_integer_b_against_mpmath(b):
         assert abs(hyp_u(a, b, z) - ref) <= 1e-9 * max(1.0, abs(ref)), (a, b, z)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the M-connection route loses about 1e-9 next to integer b while its own "
+    "error estimate (8.8e-12 here) stays under the mpmath fallback threshold"))
+def test_u_close_to_integer_b_against_mpmath():
+    ref = complex(mpmath.hyperu(0.5, 0.9999, 4))
+    assert abs(hyp_u(0.5, 0.9999, 4) - ref) <= 1e-10 * abs(ref)
+
+
 def test_u_terminates_to_laguerre(rng):
     # U(-l, alpha + 1, y) = (-1)^l l! L_l^alpha(y), exact polynomial case
     for l in range(0, 7):
