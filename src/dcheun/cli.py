@@ -15,7 +15,6 @@ nonzero exit after argument parsing writes one JSON error line to stderr.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import random
 import sys

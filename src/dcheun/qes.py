@@ -1,12 +1,14 @@
 """Quasi-exactly-solvable hyperbolic potentials and radial parameter maps.
 
 Maps two hyperbolic Schrodinger potentials onto the equation through
-z = e^u, computes the algebraic part of the spectrum from tridiagonal
-eigenproblems, the infinite-series part from continued-fraction roots,
-assembles eigenfunctions (with matching of the two series pieces when
-they do not terminate), and checks the regularity conditions
-psi(u) -> 0 as u -> +-infinity.  Also provides the parameter maps for
-two radial potentials that reduce to the algebraic normal forms.
+z = e^u.  The energy enters only through B3, so both spectra come from
+one energy matrix, minus the series rows at E = 0: its leading 2s+1
+block gives the algebraic part of the spectrum, and the eigenvalues of
+a deeper truncation seed the continued-fraction roots of the
+infinite-series part.  Assembles eigenfunctions (with matching of the
+two series pieces when they do not terminate) and checks the regularity
+conditions psi(u) -> 0 as u -> +-infinity.  Also provides the parameter
+maps for two radial potentials that reduce to the algebraic normal forms.
 """
 
 from __future__ import annotations
@@ -26,17 +28,8 @@ from .errors import (
     MatchFailure,
     NoRoots,
     NotQes,
-    TheoremViolation,
 )
-from .recurrence import (
-    ThreeTermCoeffs,
-    char_root,
-    char_value,
-    finite_series_condition,
-    generate,
-    generate_minimal,
-    tridiag_eigen,
-)
+from .recurrence import ThreeTermCoeffs, _tridiag_matrix, char_root, tridiag_eigen
 from .solutions import build_pair_power, power_coeffs
 
 KINDS = ("DOUBLE_MORSE", "SECOND_TYPE")
@@ -61,6 +54,9 @@ class QesProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown potential kind {self.kind!r}")
+        for name in ("B", "C", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.B <= 0:
             raise DomainError("B must be positive")
         if self.s < 0:
@@ -140,26 +136,17 @@ class SpectrumResult:
     certificates: dict = field(default_factory=dict)
 
 
-def _quasi_poly_matrix_coeffs(problem: QesProblem, route: str) -> ThreeTermCoeffs:
-    """Eigenvalue form of the terminating recurrence: M b = E b.
+def _energy_rows(problem: QesProblem, pair: int) -> ThreeTermCoeffs:
+    """Rows of the energy matrix M of series pair ``pair``: M b = E b.
 
-    DOUBLE_MORSE route PAIR1 has diagonal -s(s+C) - n(n-C-2s),
-    superdiagonal -(n+1) and subdiagonal (B^2/4)(n-2s-1); PAIR3 is the
-    image under C -> -C.  SECOND_TYPE quasi-polynomials (used only as
-    regularity counterexamples) follow the analogous closure.
+    The energy enters the rows only through B3, on the diagonal with
+    slope 1, so M is minus the pair's rows at E = 0.
     """
-    B, s = problem.B, problem.s
-    C = problem.C if route == "PAIR1" else -problem.C
-    if problem.kind == "DOUBLE_MORSE":
-        return ThreeTermCoeffs(
-            alpha=lambda n: -(n + 1.0),
-            beta=lambda n: -s * (s + C) - n * (n - C - 2 * s),
-            gamma=lambda n: (B**2 / 4) * (n - 2 * s - 1),
-        )
+    tc = power_coeffs(pair, problem_params(problem, 0.0))
     return ThreeTermCoeffs(
-        alpha=lambda n: -(n + 1.0),
-        beta=lambda n: -(s**2) - B**2 / 4 - n * (n - 2 * s),
-        gamma=lambda n: -(B**2 / 4) * (n - 2 * s - 1),
+        alpha=lambda n: -tc.alpha(n),
+        beta=lambda n: -tc.beta(n),
+        gamma=lambda n: -tc.gamma(n),
     )
 
 
@@ -174,14 +161,8 @@ def quasi_polynomial_spectrum(problem: QesProblem, route: str = "PAIR1") -> Spec
     if not problem.qes_flag:
         raise NotQes(f"s = {problem.s} is not an integer or half-integer")
     size = int(round(2 * problem.s)) + 1
-    tc = _quasi_poly_matrix_coeffs(problem, route)
-    res = tridiag_eigen(tc, size)
-    certs = {
-        "offdiag_products": [
-            complex(tc.alpha(j) * tc.gamma(j + 1)) for j in range(size - 1)
-        ],
-        "certified_real_distinct": res.certified,
-    }
+    res = tridiag_eigen(_energy_rows(problem, 1 if route == "PAIR1" else 3), size)
+    certs = {"offdiag_products": res.products, "certified_real_distinct": res.certified}
     energies = [v.real if res.certified else v for v in res.values]
     return SpectrumResult(energies=energies, method="TRIDIAG", certificates=certs)
 
@@ -211,19 +192,16 @@ def energy_coeff_factory(problem: QesProblem) -> Callable[[complex], ThreeTermCo
 
 
 def infinite_spectrum(
-    problem: QesProblem,
-    bracket,
-    count: Optional[int] = None,
-    depth: int = 80,
-    grid: int = 400,
-    tol: float = 1e-10,
+    problem: QesProblem, bracket, depth: int = 80, tol: float = 1e-10
 ) -> SpectrumResult:
     """Energies from roots of the characteristic continued fraction.
 
-    Scans ``bracket = (lo, hi)`` for sign changes of the (real)
-    characteristic value, polishes each by secant iteration, and keeps
-    roots validated by an eigenfunction whose two series pieces match.
-    Raises NoRoots when the bracket contains none.
+    Starting guesses are the distinct real parts, inside ``bracket =
+    (lo, hi)``, of the eigenvalues of the regular pair's energy matrix
+    truncated at ``depth`` rows.  Each is polished by secant iteration
+    on the characteristic value, and the roots validated by an
+    eigenfunction whose two series pieces match are kept.  Raises
+    NoRoots when the bracket contains none.
 
     A characteristic root only guarantees that both series of the pair
     converge and solve the equation; it does not by itself make them
@@ -234,23 +212,18 @@ def infinite_spectrum(
     holding none raise NoRoots.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("bracket must be finite")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     factory = energy_coeff_factory(problem)
-    xs = np.linspace(lo, hi, grid)
-    vals = []
-    for x in xs:
-        try:
-            vals.append(complex(char_value(factory(x), depth=depth)).real)
-        except (DcheunError, ArithmeticError):
-            vals.append(math.nan)
+    rows = _energy_rows(problem, _series_pair_id(problem))
+    eigs = np.linalg.eigvals(_tridiag_matrix(rows, depth))
+    seeds = sorted({v.real for v in eigs if lo <= v.real <= hi})
     roots = []
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b) or a * b > 0:
-            continue
+    for seed in seeds:
         try:
-            r = char_root(factory, complex(xs[i]), tol=tol, depth=depth)
+            r = char_root(factory, complex(seed), tol=tol, depth=depth)
         except (DcheunError, ArithmeticError):
             continue
         e = r.x.real
@@ -258,15 +231,13 @@ def infinite_spectrum(
             continue
         if any(abs(e - q) < 1e-8 for q in roots):
             continue
-        # poles of the continued fraction also change sign; a genuine
-        # eigenvalue must admit a matched regular eigenfunction
+        # a characteristic root need not be a level: a genuine eigenvalue
+        # must admit a matched regular eigenfunction
         try:
             eigenfunction(problem, e)
         except MatchFailure:
             continue
         roots.append(e)
-        if count is not None and len(roots) >= count:
-            break
     if not roots:
         raise NoRoots(f"no spectrum found in [{lo}, {hi}]")
     return SpectrumResult(
@@ -376,11 +347,11 @@ def eigenfunction(
         pair_choice = _series_pair_id(problem)
     params = problem_params(problem, energy)
     tc = power_coeffs(pair_choice, params)
-    n_fin = finite_series_condition(pair_choice, params)
-    if n_fin is not None:
-        seq = generate(tc, n_fin - 1, finite_n=n_fin)
+    u_inf, u_zero = build_pair_power(pair_choice, params, n_terms)
+    seq = u_inf.coeffs
+    if seq.finite:
         # closing row: alpha_{N-1} b_N vanishes only at an eigenvalue
-        n = n_fin - 1
+        n = seq.n_max
         terms = (tc.beta(n) * seq.b(n), tc.gamma(n) * seq.b(n - 1))
         scale = max(max(abs(t) for t in terms), max(abs(v) for v in seq.values))
         mismatch = abs(sum(terms)) / scale
@@ -404,7 +375,6 @@ def eigenfunction(
                     "the eigenfunction has the opposite parity"
                 )
         else:
-            u_inf, _ = build_pair_power(pair_choice, params, n_terms)
             psi = _member_to_psi(params, u_inf)
         return Eigenfunction(
             psi=psi, problem=problem, energy=energy, pair_id=pair_choice,
@@ -413,7 +383,6 @@ def eigenfunction(
 
     if parity is not None:
         raise DomainError("parity combinations require a terminating series")
-    u_inf, u_zero = build_pair_power(pair_choice, params, n_terms)
     p_inf = _member_to_psi(params, u_inf)
     p_zero = _member_to_psi(params, u_zero)
     vi, di, _ = p_inf(match_u)

@@ -313,6 +313,19 @@ class EigenResult:
         return iter(self.values)
 
 
+def _tridiag_matrix(coeffs: ThreeTermCoeffs, size: int) -> np.ndarray:
+    """Rows 0..size-1: diagonal beta(j), superdiagonal alpha(j), subdiagonal gamma(j)."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    m = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        m[j, j] = coeffs.beta(j)
+        if j + 1 < size:
+            m[j, j + 1] = coeffs.alpha(j)
+            m[j + 1, j] = coeffs.gamma(j + 1)
+    return m
+
+
 def tridiag_eigen(coeffs: ThreeTermCoeffs, size: int) -> EigenResult:
     """All eigenvalues of the size x size tridiagonal coefficient matrix.
 
@@ -323,14 +336,7 @@ def tridiag_eigen(coeffs: ThreeTermCoeffs, size: int) -> EigenResult:
     and are returned sorted ascending; otherwise a TheoremViolation
     warning is issued and eigenvalues are sorted by real part.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    m = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        m[j, j] = coeffs.beta(j)
-        if j + 1 < size:
-            m[j, j + 1] = coeffs.alpha(j)
-            m[j + 1, j] = coeffs.gamma(j + 1)
+    m = _tridiag_matrix(coeffs, size)
     ev = np.linalg.eigvals(m)
     products = [complex(m[j, j + 1] * m[j + 1, j]) for j in range(size - 1)]
     scale = max((abs(p) for p in products), default=1.0) or 1.0

@@ -128,6 +128,18 @@ def test_spectrum_cf_empty_bracket_exits_3(capsys):
     assert "no spectrum" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--B", "nan", "--C", "0", "--s", "0.5"],
+    ["--B", "2", "--C", "0", "--s", "nan"],
+    ["--B", "2", "--C", "0", "--s", "0.5", "--method", "cf", "--bracket", "-3", "inf"],
+    ["--B", "2", "--C", "0", "--s", "0.5", "--method", "cf", "--bracket", "nan", "2"],
+], ids=["B_nan", "s_nan", "bracket_inf", "bracket_nan"])
+def test_spectrum_non_finite_input_exits_2(argv, capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--potential", "double-morse", *argv)
+    assert code == 2
+    assert "must be finite" in json.loads(err)["error"]
+
+
 def test_spectrum_cf_recovers_algebraic_levels(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--potential", "double-morse",

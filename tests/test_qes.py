@@ -133,11 +133,15 @@ def test_regularity_negative_control():
     assert not regularity_check(lambda u: 1.0, prob).passed
 
 
-def test_continued_fraction_route_agrees_on_algebraic_levels():
-    prob = QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.5)
-    sp = infinite_spectrum(prob, (-3.0, 2.0))
+@pytest.mark.parametrize("B,C,s", [(2.0, 0.0, 0.5), (1.0, 0.0, 2.5), (1.0, 1.0, 2.5)])
+def test_continued_fraction_route_agrees_on_algebraic_levels(B, C, s):
+    # s = 2.5 holds levels that lie close together (-6.570 and -6.558 at
+    # C = 0; -4.247 and -4.104 at C = 1)
+    prob = QesProblem("DOUBLE_MORSE", B=B, C=C, s=s)
+    levels = sorted(e.real for e in qes_spectrum(prob).energies)
+    sp = infinite_spectrum(prob, (levels[0] - 0.25, levels[-1] + 0.25))
     assert sp.method == "CONTINUED_FRACTION"
-    assert sorted(e.real for e in sp.energies) == pytest.approx([-1.25, 0.75], abs=1e-8)
+    assert sorted(e.real for e in sp.energies) == pytest.approx(levels, abs=1e-8)
 
 
 def test_non_terminating_roots_fail_matching():
@@ -172,6 +176,11 @@ def test_problem_validation():
         QesProblem("DOUBLE_MORSE", B=-1.0, C=0.0, s=0.5)
     with pytest.raises(DomainError):
         QesProblem("SECOND_TYPE", B=2.0, s=0.5, C=0.3)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("B", "C", "s"):
+            kw = {"B": 2.0, "C": 0.0, "s": 0.5, field: bad}
+            with pytest.raises(DomainError, match=f"{field} must be finite"):
+                QesProblem("DOUBLE_MORSE", **kw)
 
 
 def test_radial_inverse_power_map():
