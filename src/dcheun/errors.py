@@ -46,7 +46,7 @@ class DenominatorError(DcheunError):
 
 
 class QuadratureError(DcheunError):
-    """Adaptive quadrature stalled before reaching the tolerance."""
+    """Quadrature did not converge, or its integrand does not decay."""
 
 
 class ConditionError(DcheunError):

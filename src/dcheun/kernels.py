@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import DcheParams
 from .errors import BranchError, ConditionError, QuadratureError
+from .quadrature import exp_sinh
 from .specialfn import gamma, hyp_u, whittaker_w
 
 _BRANCH_TOL = 1e-12
@@ -144,40 +145,31 @@ def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -
     return worst
 
 
-def contour_quad(f: Callable[[float, float], complex], tol: float = 1e-11) -> complex:
-    """Integral of f over (1, inf) via the substitution xi = 1 + e^s.
+def contour_quad(g: Callable[[float], complex], p: complex, tol: float = 1e-12) -> complex:
+    """Integral of (xi - 1)^p g(xi) over (1, inf), Re p > -1, by the exp-sinh rule.
 
-    ``f(xi, xi_minus_1)`` receives the offset separately so the endpoint
-    power (xi - 1)^p stays accurate when e^s underflows the sum.  The
-    substitution absorbs the endpoint singularity for Re p > -1 and
-    compresses the exponential tail.
+    The rule places its nodes at xi - 1 = exp(pi/2 sinh t) and forms the
+    endpoint power from that exact offset, so (xi - 1)^p stays accurate
+    where 1 + (xi - 1) rounds to 1; ``g`` carries the rest of the
+    integrand and runs once per distinct float xi.  Every node next to
+    the endpoint whose xi rounds to 1.0 shares one evaluation.
 
-    The integral is computed by ``scipy.integrate.quad``, once for the
-    real and once for the imaginary part; f runs once per distinct node.
-    SciPy is imported here, on the first quadrature, not when the package
-    is imported.
+    Raises QuadratureError when the rule does not converge to ``tol``
+    times the sum of |terms| (see ``quadrature.exp_sinh``).
     """
-    from scipy.integrate import quad
+    at_xi: dict = {}
 
-    at_node: dict = {}
+    def on_nodes(u: np.ndarray) -> np.ndarray:
+        out = np.empty(len(u), dtype=complex)
+        for i, xi in enumerate((1.0 + u).tolist()):
+            v = at_xi.get(xi)
+            if v is None:
+                v = at_xi[xi] = g(xi)
+            out[i] = v
+        return out
 
-    def g(s: float, part: int) -> float:
-        v = at_node.get(s)
-        if v is None:
-            e = math.exp(s)
-            v = at_node[s] = f(1.0 + e, e) * e
-        return v.real if part == 0 else v.imag
-
-    out = 0.0j
-    for part in (0, 1):
-        # the lower tail decays only like e^{s (Re p + 1)}; keep it long
-        val, err = quad(lambda s: g(s, part), -60.0, 26.0, limit=800,
-                        points=(-40.0, -20.0, -8.0, 0.0, 4.0, 10.0),
-                        epsabs=1e-13, epsrel=tol)
-        if not math.isfinite(val):
-            raise QuadratureError("contour quadrature diverged")
-        out += val if part == 0 else 1j * val
-    return out
+    value, _ = exp_sinh(on_nodes, p, tol)
+    return complex(value)
 
 
 def transform(spec: KernelSpec, u_inf, z: complex, exponent_shift: complex = 0.0) -> complex:
@@ -193,27 +185,22 @@ def transform(spec: KernelSpec, u_inf, z: complex, exponent_shift: complex = 0.0
     z = complex(z)
     pw = spec.power_exponent + exponent_shift
     if spec.kind == "K1":
-        def f(xi: float, xim1: float) -> complex:
+        def g(xi: float) -> complex:
             t = -p.b1 * xi / (2j * p.omega * z)
-            return (
-                cmath.exp(-p.b1 * xi / (2 * z))
-                * cmath.exp(pw * math.log(xim1))
-                * u_inf(t)[0]
-            )
+            return cmath.exp(-p.b1 * xi / (2 * z)) * u_inf(t)[0]
 
         pref = cmath.exp(1j * p.omega * z + p.b1 / z) * cmath.exp((1 - p.b2) * cmath.log(z))
     else:
-        def f(zeta: float, zm1: float) -> complex:
+        def g(zeta: float) -> complex:
             t = p.b1 * zeta / (2j * p.omega * z)
             return (
                 cmath.exp(p.b1 * zeta / (2 * z) - 2j * p.omega * z / zeta)
                 * cmath.exp((p.b2 - 2) * math.log(zeta))
-                * cmath.exp(pw * math.log(zm1))
                 * u_inf(t)[0]
             )
 
         pref = cmath.exp(1j * p.omega * z) * cmath.exp((1 - p.b2) * cmath.log(z))
-    return pref * contour_quad(f)
+    return pref * contour_quad(g, pw)
 
 
 @dataclass
@@ -357,7 +344,7 @@ def appendix_closed_form(which: str, **kw) -> complex:
 
 
 def appendix_integral(which: str, **kw) -> complex:
-    """Left-hand sides, by adaptive quadrature over (1, inf).
+    """Left-hand sides, by ``contour_quad`` over (1, inf).
 
     A1(alpha, beta, y):   e^{-y t} (t-1)^(alpha-1) t^(beta-alpha-1)
     A2(kappa, lam, mu, a): e^{-a y} (y-1)^(mu-1) U(1/2-kappa-lam, 1-2 lam, a y)
@@ -371,14 +358,10 @@ def appendix_integral(which: str, **kw) -> complex:
         if a.real <= 0 or y.real <= 0:
             raise ConditionError("A1 requires Re(alpha) > 0 and Re(y) > 0")
 
-        def f(t, tm1):
-            return (
-                cmath.exp(-y * t)
-                * cmath.exp((a - 1) * math.log(tm1))
-                * cmath.exp((b - a - 1) * math.log(t))
-            )
+        def g(t):
+            return cmath.exp(-y * t) * cmath.exp((b - a - 1) * math.log(t))
 
-        return contour_quad(f)
+        return contour_quad(g, a - 1)
     k = complex(kw["kappa"])
     l = complex(kw["lam"])
     mu = complex(kw["mu"])
@@ -386,24 +369,19 @@ def appendix_integral(which: str, **kw) -> complex:
     if mu.real <= 0 or a.real <= 0:
         raise ConditionError(f"{which} requires Re(mu) > 0 and Re(a) > 0")
     if which == "A2":
-        def f(y, ym1):
-            return (
-                cmath.exp(-a * y)
-                * cmath.exp((mu - 1) * math.log(ym1))
-                * hyp_u(0.5 - k - l, 1 - 2 * l, a * y)
-            )
+        def g(y):
+            return cmath.exp(-a * y) * hyp_u(0.5 - k - l, 1 - 2 * l, a * y)
 
-        return contour_quad(f)
+        return contour_quad(g, mu - 1)
     if which == "A3":
-        def f(y, ym1):
+        def g(y):
             return (
                 cmath.exp(-a * y)
-                * cmath.exp((mu - 1) * math.log(ym1))
                 * cmath.exp((k + l - mu - 0.5) * math.log(y))
                 * hyp_u(0.5 + l - k, 2 * l + 1, a * y)
             )
 
-        return contour_quad(f)
+        return contour_quad(g, mu - 1)
     raise ValueError("which must be A1, A2 or A3")
 
 
@@ -420,15 +398,14 @@ def whittaker_index_check(kappa, lam, mu, a, corrected: bool = True) -> float:
     if mu.real <= 0 or a.real <= 0:
         raise ConditionError("requires Re(mu) > 0 and Re(a) > 0")
 
-    def f(y, ym1):
+    def g(y):
         return (
             cmath.exp(-a * y / 2)
-            * cmath.exp((mu - 1) * math.log(ym1))
             * cmath.exp((l - 0.5) * math.log(y))
             * whittaker_w(k, l, a * y)
         )
 
-    lhs = contour_quad(f)
+    lhs = contour_quad(g, mu - 1)
     idx = l + mu / 2 if corrected else l - mu / 2
     rhs = (
         gamma(mu)

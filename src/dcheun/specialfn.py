@@ -5,18 +5,22 @@ hypergeometric function U(a, b, z) on its principal branch, generalized
 Laguerre polynomials for complex parameters, and the Kummer
 transformation that connects alternative forms of U.
 
-U(a, b, z) is evaluated by one of three strategies:
+U(a, b, z) is evaluated by one of four routes:
 
 1. exact polynomial path when ``a`` is zero or a negative integer,
    via U(-l, 1+alpha, y) = (-1)^l l! L_l^alpha(y);
-2. for moderate ``|z|``, the two-term connection through the regular
-   Kummer function M, with near-integer ``b`` handled by a symmetric
-   perturbation average;
-3. for large ``|z|``, the asymptotic descending series truncated at its
-   smallest term.
+2. for |z| < 30, the two-term connection through the regular Kummer
+   function M;
+3. for |z| >= 30, the asymptotic descending series truncated at its
+   smallest term;
+4. the Laplace integral on the exp-sinh rule, recurred down in ``a``
+   for Re a < 1.  It serves b next to an integer, where both connection
+   terms have poles, and every point where route 2 or 3 estimates its
+   error above 1e-11.
 
-A cancellation monitor falls back to arbitrary precision (mpmath) when
-the double-precision route would lose too many digits.
+Routes 2 and 3 return an error estimate that includes the rounding of
+their running products and, for route 2, of the Gamma coefficients, so
+it grows with the cancellation between the two connection terms.
 
 U is computed on every call; nothing is kept between calls.
 
@@ -28,16 +32,24 @@ SciPy's complex ufuncs on their first call, so importing the package
 from __future__ import annotations
 
 import cmath
+import math
 from functools import cache
 
-import mpmath
+import numpy as np
 
-from .errors import BranchError, ConvergenceError, DomainError, PoleError
+from .errors import BranchError, ConvergenceError, DomainError, PoleError, QuadratureError
+from .quadrature import exp_sinh
 
 _EPS = 2.220446049250313e-16
 _ASYMPTOTIC_CUTOFF = 30.0
-_B_PERTURB = 1e-7
 _FALLBACK_TOL = 1e-11
+# relative error allowed for a product of two of SciPy's complex Gamma values
+# (up to about 2.5e-15 against mpmath on the connection coefficients)
+_GAMMA_REL = 5e-15
+# b this close to an integer skips the connection route: both of its terms
+# have poles there, and its estimate (of order eps / |b - n|) would reject it
+_INTEGER_B_WINDOW = 1e-5
+_LAPLACE_TOL = 1e-12
 
 
 def _as_complex(x) -> complex:
@@ -103,29 +115,36 @@ def kummer_transform(a, b, y):
 
 
 def _kummer_m(a: complex, b: complex, z: complex, max_terms: int = 700):
-    """Regular Kummer series M(a,b,z); returns (sum, largest |term|)."""
+    """Regular Kummer series M(a,b,z); returns (sum, rounding bound / eps).
+
+    Term k is a running product of k factors and carries about k
+    roundings, so the sum is off by at most about eps * sum_k (k+1) |term_k|.
+    """
     s = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    maxabs = 1.0
+    bound = 1.0
     for k in range(max_terms):
         term *= (a + k) * z / ((b + k) * (k + 1))
         s += term
         t = abs(term)
-        if t > maxabs:
-            maxabs = t
+        bound += (k + 2) * t
         if t <= _EPS * abs(s) and k > 3:
-            return s, maxabs
+            return s, bound
     raise ConvergenceError(f"Kummer series did not converge for M({a}, {b}, {z})")
 
 
 def _u_asymptotic(a: complex, b: complex, z: complex):
     """Descending series z^(-a) * 2F0(a, a-b+1; -1/z), optimal truncation.
 
-    Returns (value, relative error estimate).
+    Returns (value, relative error estimate).  Stopped at its smallest
+    term, the series is off by a few times that term, by up to a factor
+    of order sqrt(|z|) towards the Stokes lines arg z = +-pi (DLMF
+    13.7(ii)); the running products add the same rounding as in M.
     """
     s = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    best = abs(term)
+    best = 1.0
+    rounding = 1.0
     for k in range(120):
         new = term * (a + k) * (a - b + 1 + k) / (-(k + 1) * z)
         if abs(new) >= abs(term) and k > 1:
@@ -133,10 +152,12 @@ def _u_asymptotic(a: complex, b: complex, z: complex):
         term = new
         s += term
         best = abs(term)
+        rounding += (k + 2) * best
         if best <= _EPS * abs(s):
             break
     pref = cmath.exp(-a * cmath.log(z))
-    return pref * s, best / max(abs(s), 1e-300)
+    err = 2 * math.sqrt(abs(z)) * best + _EPS * rounding
+    return pref * s, err / max(abs(s), 1e-300)
 
 
 def _gamma_b_minus_1(b: complex) -> complex:
@@ -147,32 +168,73 @@ def _gamma_b_minus_1(b: complex) -> complex:
     that error is not cancelled (U(0.5, 1e-5, 0.5) would lose 6 digits).
     The offset d = b - n is exact, so the pole factors are built from it:
     Gamma(b - 1) = Gamma(1 + d) / prod_{k=n-1}^{0} (k + d).  The one
-    pole with n > 0 is at b = 1, where b - 1 is itself exact.
+    pole with n > 0 is at b = 1, where b - 1 is itself exact.  The caller
+    keeps b off the integers, so the ufunc is called without pole checks.
     """
     n = round(b.real)
     if n > 0:
-        return gamma(b - 1)
+        return complex(_scipy_special().gamma(b - 1))
     d = b - n
     den = 1.0 + 0.0j
     for k in range(n - 1, 1):
         den *= k + d
-    return gamma(1 + d) / den
+    return complex(_scipy_special().gamma(1 + d)) / den
 
 
 def _u_connection(a: complex, b: complex, z: complex):
-    """Two-term M-series connection; returns (value, relative error estimate)."""
-    m1, p1 = _kummer_m(a, b, z)
-    m2, p2 = _kummer_m(a - b + 1, 2 - b, z)
-    c1 = gamma(1 - b) * rgamma(a - b + 1)
-    c2 = _gamma_b_minus_1(b) * rgamma(a) * cmath.exp((1 - b) * cmath.log(z))
+    """Two-term M-series connection; returns (value, relative error estimate).
+
+    The estimate adds the rounding bound of each M series to the error of
+    its Gamma coefficient, both scaled by the term's size against the
+    value, so it grows with the cancellation between the two terms.
+    """
+    m1, e1 = _kummer_m(a, b, z)
+    m2, e2 = _kummer_m(a - b + 1, 2 - b, z)
+    # b is off the integers here, so 1 - b is no pole of Gamma
+    sp = _scipy_special()
+    c1 = complex(sp.gamma(1 - b) * sp.rgamma(a - b + 1))
+    c2 = _gamma_b_minus_1(b) * complex(sp.rgamma(a)) * cmath.exp((1 - b) * cmath.log(z))
     val = c1 * m1 + c2 * m2
-    scale = max(abs(c1) * p1, abs(c2) * p2, 1e-300)
-    return val, _EPS * scale / max(abs(val), 1e-300)
+    err = _EPS * (abs(c1) * e1 + abs(c2) * e2) + _GAMMA_REL * (abs(c1 * m1) + abs(c2 * m2))
+    return val, err / max(abs(val), 1e-300)
 
 
-def _u_mpmath(a: complex, b: complex, z: complex) -> complex:
-    with mpmath.workdps(30):
-        return complex(mpmath.hyperu(mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z)))
+def _u_laplace(a: complex, b: complex, z: complex) -> complex:
+    """U by its Laplace integral on the exp-sinh rule (DLMF 13.4.4).
+
+    U(c, b, z) = z^(-c) / Gamma(c) int_0^inf e^(-s) s^(c-1) (1 + s/z)^(b-c-1) ds
+    along the ray arg s = theta.  The ray is the real axis for
+    |arg z| <= pi/2 and arg z / 4 beyond, which keeps the branch point
+    s = -z at least pi/4 off the path, also at arg z = pi.  The integral
+    needs Re c > 0 and is best conditioned for Re c >= 1, so for Re a < 1
+    U is computed at c = a + m and a + m + 1 and recurred down in the
+    first parameter (DLMF 13.3.7), the direction in which U is minimal.
+    """
+    phase = cmath.phase(z)
+    theta = phase / 4 if abs(phase) > math.pi / 2 else 0.0
+    ray = cmath.exp(1j * theta)
+    ray_z = ray / z
+    log_ray_z = 1j * theta - cmath.log(z)
+
+    def at(c: complex) -> complex:
+        # on the ray s = e^{i theta} x: U(c) = rgamma(c) (e^{i theta} / z)^c * integral
+        e = b - c - 1
+        try:
+            val, _ = exp_sinh(
+                lambda x: np.exp(e * np.log(1 + ray_z * x) - ray * x), c - 1, _LAPLACE_TOL
+            )
+        except QuadratureError as exc:
+            raise ConvergenceError(f"Laplace integral of U({a}, {b}, {z}): {exc}") from exc
+        return rgamma(c) * cmath.exp(c * log_ray_z) * val
+
+    m = max(0, math.ceil(1 - a.real))
+    if m == 0:
+        return at(a)
+    up, cur = at(a + m + 1), at(a + m)
+    for k in range(m, 0, -1):
+        c = a + k
+        up, cur = cur, -(b - 2 * c - z) * cur - c * (c - b + 1) * up
+    return cur
 
 
 def hyp_u(a, b, z) -> complex:
@@ -188,7 +250,7 @@ def hyp_u(a, b, z) -> complex:
     BranchError
         at z = 0.
     ConvergenceError
-        when no strategy reaches the working tolerance.
+        when the Laplace integral, the last route, does not converge.
     """
     a = _as_complex(a)
     b = _as_complex(b)
@@ -206,27 +268,13 @@ def hyp_u(a, b, z) -> complex:
 
     if abs(z) >= _ASYMPTOTIC_CUTOFF:
         val, err = _u_asymptotic(a, b, z)
-        if err < _FALLBACK_TOL:
-            return val
-        return _u_mpmath(a, b, z)
-
-    b_off = abs(b.imag) <= 2 * _B_PERTURB and abs(b.real - round(b.real)) <= 2 * _B_PERTURB
-    if b_off:
-        # b at (or extremely close to) an integer: symmetric perturbation
-        # average cancels the O(h) drift of each branch.  The step grows by
-        # b's offset from the integer, so both points stay at least
-        # _B_PERTURB away from it (the integer itself is a pole of both
-        # connection terms).
-        h = _B_PERTURB + abs(b - round(b.real))
-        vp, ep = _u_connection(a, b + h, z)
-        vm, em = _u_connection(a, b - h, z)
-        val = 0.5 * (vp + vm)
-        err = max(ep, em, h * h)
+    elif abs(b - round(b.real)) < _INTEGER_B_WINDOW:
+        return _u_laplace(a, b, z)
     else:
         val, err = _u_connection(a, b, z)
     if err < _FALLBACK_TOL:
         return val
-    return _u_mpmath(a, b, z)
+    return _u_laplace(a, b, z)
 
 
 def u_shift_factor(a: complex, order: int) -> complex:

@@ -262,13 +262,23 @@ def _imported_modules(importtime_stderr: str) -> list:
 
 
 def test_import_loads_no_scipy():
+    # mpmath is a test oracle only: no library route loads it
     proc = _python(
         "-c",
         "import sys, dcheun, dcheun.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_verify_integrals_loads_no_scipy_integrate():
+    # every integral runs on the package's own exp-sinh rule
+    proc = _python("-X", "importtime", "-m", "dcheun.cli", "verify", "--suite", "integrals")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    modules = _imported_modules(proc.stderr)
+    assert "dcheun.quadrature" in modules
+    assert [m for m in modules if m.startswith("scipy.integrate") or m == "mpmath"] == []
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Integral relations: kernels, transforms, boundary terms, closed forms."""
 
 import cmath
+import math
 import warnings
 
 import pytest
 
 from dcheun.core import DcheParams
-from dcheun.errors import BranchError, ConditionError
+from dcheun.errors import BranchError, ConditionError, QuadratureError
 from dcheun.kernels import (
     KernelSpec,
     appendix_closed_form,
@@ -21,6 +22,7 @@ from dcheun.kernels import (
 )
 from dcheun.recurrence import finite_series_condition, tridiag_eigen
 from dcheun.solutions import build_pair_power, power_coeffs
+from dcheun.specialfn import gamma
 
 # i eta = -1.3 satisfies the K1 condition Re(B2/2 - i eta - 1) > 0 and
 # terminates pair 1 at N = 2; i eta = -2.7 does the same for K2 / pair 2
@@ -177,14 +179,50 @@ def test_whittaker_index_misprint_detected():
 
 
 def test_contour_quad_runs_integrand_once_per_node():
-    # quad integrates the real and the imaginary part in two passes over
-    # mostly the same nodes; each node's complex value is computed once
+    # the rule forms (xi - 1)^p itself, so g sees only xi; every node whose
+    # xi rounds to 1.0 shares one evaluation, as does every other xi
+    y = 1 + 1j
     nodes = []
 
-    def f(t, tm1):
-        nodes.append(tm1)
-        return cmath.exp(-(1 + 1j) * t)
+    def g(xi):
+        nodes.append(xi)
+        return cmath.exp(-y * xi)
 
-    val = contour_quad(f)
-    assert abs(val - cmath.exp(-(1 + 1j)) / (1 + 1j)) < 1e-12
+    val = contour_quad(g, -0.5)
+    assert abs(val - math.sqrt(math.pi) * cmath.exp(-y) / cmath.sqrt(y)) < 1e-12
+    assert 1.0 in nodes
     assert len(nodes) == len(set(nodes)) > 0
+
+
+@pytest.mark.parametrize("p1", [0.2, 0.3, 0.2 + 0.5j])
+@pytest.mark.parametrize("y", [0.5, 1.0, 2.5 - 0.4j])
+def test_contour_quad_weak_endpoint_singularity(p1, y):
+    # int_1^inf (xi-1)^p e^{-y xi} dxi = Gamma(p+1) e^{-y} y^{-p-1}; with
+    # Re(p+1) = 0.2 the integrand's mass reaches far into xi - 1 < 1e-16
+    p = p1 - 1
+    ref = gamma(p1) * cmath.exp(-y) * cmath.exp(-p1 * cmath.log(y))
+    val = contour_quad(lambda xi: cmath.exp(-y * xi), p)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        lambda xi: 1.0,  # never decays: the window reaches its limit
+        lambda xi: cmath.exp(1j * xi),
+        lambda xi: math.nan,  # non-finite sum
+        lambda xi: math.exp(-xi) if xi < 3.0 else 0.0,  # a jump: no level converges
+    ],
+    ids=["constant", "oscillating", "nan", "jump"],
+)
+def test_contour_quad_raises_when_the_rule_fails(g):
+    with pytest.raises(QuadratureError):
+        contour_quad(g, 0.5)
+
+
+def test_quadrature_results_are_builtin_complex():
+    # numpy scalars would leak into JSON output and comparisons
+    assert type(contour_quad(lambda xi: math.exp(-xi), 0.0)) is complex
+    kw = dict(alpha=0.7, beta=1.2, y=1.5)
+    assert type(appendix_integral("A1", **kw)) is complex
+    assert type(appendix_integral("A2", kappa=0.1, lam=0.2, mu=0.8, a=1.5)) is complex

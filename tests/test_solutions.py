@@ -287,12 +287,10 @@ def test_degenerate_point_projection(ie, form, rng):
                 assert rel_residual(pt, member, z) < 1e-8, (pair_id, form, member.variant)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "U(a, b, w) at integer b is only good to ~1e-9; at i eta in {0, -1/2} every "
-    "term of the pair-2 member at infinity has integer b, and at |z| = 0.65 its "
-    "residual reaches 3e-8 (R3A) and 3e-7 (R2A)"))
 @pytest.mark.parametrize("ie,form", DEGENERATE_POINTS)
 def test_degenerate_pair_2_residual(ie, form):
+    # at i eta in {0, -1/2} every term of the pair-2 member at infinity has
+    # integer b, where U takes its Laplace integral
     pt, _, (u_inf, _) = degenerate_pair(2, form, ie)
     for t in (-0.6, -0.3, 0.0, 0.3, 0.6):
         z = 0.65 * cmath.exp(1j * t)
