@@ -16,7 +16,6 @@ from .errors import (
     BranchError,
     CFBreakdownError,
     ConditionError,
-    ConvergenceError,
     DcheunError,
     DegenerateError,
     DenominatorError,

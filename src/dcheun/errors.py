@@ -13,10 +13,6 @@ class BranchError(DcheunError):
     """Argument lies outside the principal branch / at a branch point."""
 
 
-class ConvergenceError(DcheunError):
-    """No evaluation strategy reached the requested tolerance."""
-
-
 class DomainError(DcheunError):
     """Point outside the validity domain of the operation."""
 
@@ -34,7 +30,8 @@ class CFBreakdownError(DcheunError):
 
 
 class NoConvergence(DcheunError):
-    """Iterative root search did not converge; try a different start point."""
+    """An iteration did not converge: a root search (try a different start
+    point), a series or an integral that no evaluation route could finish."""
 
 
 class DenominatorError(DcheunError):

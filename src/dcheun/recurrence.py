@@ -334,7 +334,8 @@ def tridiag_eigen(coeffs: ThreeTermCoeffs, size: int) -> EigenResult:
     is invariant under the i^n rescaling that makes pure-imaginary
     off-diagonals real) the eigenvalues are certified real and distinct
     and are returned sorted ascending; otherwise a TheoremViolation
-    warning is issued and eigenvalues are sorted by real part.
+    warning is issued and eigenvalues are sorted by real part, and by
+    imaginary part among those whose real parts agree (_spectral_order).
     """
     m = _tridiag_matrix(coeffs, size)
     ev = np.linalg.eigvals(m)
@@ -353,8 +354,27 @@ def tridiag_eigen(coeffs: ThreeTermCoeffs, size: int) -> EigenResult:
                 "are not certified real and distinct",
                 TheoremViolation,
             )
-        vals = sorted((complex(v) for v in ev), key=lambda v: (v.real, v.imag))
+        vals = _spectral_order([complex(v) for v in ev])
     return EigenResult(values=vals, certified=certified, products=products)
+
+
+def _spectral_order(values: list) -> list:
+    """Complex eigenvalues by real part, then by imaginary part within each
+    group whose real parts agree to 1e-8 of the largest modulus.
+
+    The real parts of a conjugate-like pair come out of eigvals equal up to
+    rounding, so a plain (real, imag) key would let rounding pick which of
+    the two comes first.
+    """
+    vals = sorted(values, key=lambda v: v.real)
+    tol = 1e-8 * max((abs(v) for v in vals), default=0.0)
+    out, group = [], []
+    for v in vals:
+        if group and v.real - group[0].real > tol:
+            out += sorted(group, key=lambda u: u.imag)
+            group = []
+        group.append(v)
+    return out + sorted(group, key=lambda u: u.imag)
 
 
 def generate_two_sided(

@@ -10,7 +10,11 @@ layout.  The two-sided pairs take nu from the two-tail characteristic
 equation.  The one-sided pairs 1 and 3 sit at nu = i*eta and
 nu = B2/2 - 1, where alpha(-1) = 0 cuts the series off below n = 0.
 Each solution evaluates its value and two derivatives; pairs share a
-single coefficient sequence.
+single coefficient sequence.  At each point the U factors of all terms
+come from one ``specialfn.u_ladder``: two direct U values at a seed term
+(four for some two-sided Coulomb-nu points) and contiguous relations for
+the rest.  Each term takes U(a, b, w) and U(a+1, b+1, w), forms
+U' = -a U(a+1, b+1, w) and gets U'' from Kummer's equation.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 from .core import DcheParams, GaugeMap, VarMap, apply_rule
@@ -31,7 +36,7 @@ from .recurrence import (
     generate_minimal,
     generate_two_sided,
 )
-from .specialfn import hyp_u, u_shift_factor
+from .specialfn import u_ladder
 
 FAMILIES = ("POWER_DESC", "POWER_ASC", "HYP_U_IN_1/Z", "HYP_U_IN_Z", "COULOMB_NU")
 
@@ -57,9 +62,10 @@ class TermScheme:
     db: int = 1
     arg: Optional[VarMap] = None
 
-    def term(self, n: int, z: complex, u_at: dict):
-        """(value, d1, d2) of the bare term t_n at z; ``u_at`` maps (a, b) to
-        U(a, b, w(z)) across the terms of one series at this z."""
+    def term(self, n: int, z: complex, w_derivs, u):
+        """(value, d1, d2) of the bare term t_n at z.  ``w_derivs`` is the triple
+        (w, dw/dz, d2w/dz2) at z and ``u`` the pair (U(a, b, w), U(a+1, b+1, w))
+        of this term; both are None when the scheme has no U factor."""
         v = 1.0 + 0.0j
         l1 = 0.0j  # (log of power factor)' pieces handled additively
         l2 = 0.0j
@@ -72,14 +78,10 @@ class TermScheme:
             return v, v * l1, v * (l1 * l1 + l2)
         a = self.a0 + n
         b = self.b0 + self.db * n
-        w, dw, d2w = self.arg.derivatives(z)
-        keys = ((a, b), (a + 1, b + 1), (a + 2, b + 2))
-        for k in keys:  # with db = 1, term n + 1 asks again for two of these
-            if k not in u_at:
-                u_at[k] = hyp_u(k[0], k[1], w)
-        g0, u1, u2 = (u_at[k] for k in keys)
-        u1 *= u_shift_factor(a, 1)
-        u2 *= u_shift_factor(a, 2)
+        w, dw, d2w = w_derivs
+        g0, u1 = u
+        u1 *= -a  # dU/dw = -a U(a+1, b+1, w)
+        u2 = (a * g0 + (w - b) * u1) / w  # Kummer's equation w U'' + (b - w) U' - a U = 0
         g1 = u1 * dw
         g2 = u2 * dw * dw + u1 * d2w
         return (
@@ -115,8 +117,10 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     """Value and two derivatives of the solution at z.
 
     Terms are summed until three consecutive terms fall below the
-    truncation floor relative to the running maximum.  A SectorWarning is
-    issued when the member's half-plane condition on Re(B1/z) fails.
+    truncation floor relative to the running maximum.  w(z) and its two
+    derivatives are formed once, and the U ladder is stepped only as far
+    as the sum goes.  A SectorWarning is issued when the member's
+    half-plane condition on Re(B1/z) fails.
     """
     z = complex(z)
     if z == 0:
@@ -133,12 +137,17 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     small = 0
     last = 0.0
     seq = sol.coeffs
-    u_at: dict = {}
-    for i, bn in enumerate(seq.values):
+    scheme = sol.scheme
+    if scheme.arg is None:
+        w, ladder = None, repeat(None)
+    else:
+        w = scheme.arg.derivatives(z)
+        ladder = u_ladder(scheme.a0, scheme.b0, scheme.db, w[0], seq.n_min, len(seq.values))
+    for i, (bn, u) in enumerate(zip(seq.values, ladder)):
         n = seq.n_min + i
         if bn == 0:
             continue
-        t0, t1, t2 = sol.scheme.term(n, z, u_at)
+        t0, t1, t2 = scheme.term(n, z, w, u)
         s0 += bn * t0
         s1 += bn * t1
         s2 += bn * t2

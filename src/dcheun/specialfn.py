@@ -22,7 +22,11 @@ Routes 2 and 3 return an error estimate that includes the rounding of
 their running products and, for route 2, of the Gamma coefficients, so
 it grows with the cancellation between the two connection terms.
 
-U is computed on every call; nothing is kept between calls.
+U is computed on every call; nothing is kept between calls.  Along the
+terms of a series, ``u_ladder`` gives U at (a0 + n, b0 + n) or
+(a0 + n, b0 + 2n) from the two direct values at one seed term and
+contiguous relations of U, each run from the seed in the direction in
+which U is the dominant solution; its docstring says where the seed sits.
 
 SciPy is not imported with this module: ``gamma`` and ``rgamma`` load
 SciPy's complex ufuncs on their first call, so importing the package
@@ -37,7 +41,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BranchError, ConvergenceError, DomainError, PoleError, QuadratureError
+from .errors import BranchError, DomainError, NoConvergence, PoleError, QuadratureError
 from .quadrature import exp_sinh
 
 _EPS = 2.220446049250313e-16
@@ -119,18 +123,22 @@ def _kummer_m(a: complex, b: complex, z: complex, max_terms: int = 700):
 
     Term k is a running product of k factors and carries about k
     roundings, so the sum is off by at most about eps * sum_k (k+1) |term_k|.
+    For Re b < 0 the factor 1/(b + k) makes the terms grow again as k
+    nears -Re b, so a small term before that point is no sign of
+    convergence: the series may stop only once k is past -Re b.
     """
     s = 1.0 + 0.0j
     term = 1.0 + 0.0j
     bound = 1.0
+    k_min = max(3.0, -b.real)
     for k in range(max_terms):
         term *= (a + k) * z / ((b + k) * (k + 1))
         s += term
         t = abs(term)
         bound += (k + 2) * t
-        if t <= _EPS * abs(s) and k > 3:
+        if t <= _EPS * abs(s) and k > k_min:
             return s, bound
-    raise ConvergenceError(f"Kummer series did not converge for M({a}, {b}, {z})")
+    raise NoConvergence(f"Kummer series did not converge for M({a}, {b}, {z})")
 
 
 def _u_asymptotic(a: complex, b: complex, z: complex):
@@ -224,7 +232,7 @@ def _u_laplace(a: complex, b: complex, z: complex) -> complex:
                 lambda x: np.exp(e * np.log(1 + ray_z * x) - ray * x), c - 1, _LAPLACE_TOL
             )
         except QuadratureError as exc:
-            raise ConvergenceError(f"Laplace integral of U({a}, {b}, {z}): {exc}") from exc
+            raise NoConvergence(f"Laplace integral of U({a}, {b}, {z}): {exc}") from exc
         return rgamma(c) * cmath.exp(c * log_ray_z) * val
 
     m = max(0, math.ceil(1 - a.real))
@@ -249,7 +257,7 @@ def hyp_u(a, b, z) -> complex:
     ------
     BranchError
         at z = 0.
-    ConvergenceError
+    NoConvergence
         when the Laplace integral, the last route, does not converge.
     """
     a = _as_complex(a)
@@ -277,21 +285,109 @@ def hyp_u(a, b, z) -> complex:
     return _u_laplace(a, b, z)
 
 
-def u_shift_factor(a: complex, order: int) -> complex:
-    """(-1)^k (a)_k in d^k/dz^k U(a,b,z) = (-1)^k (a)_k U(a+k, b+k, z), DLMF 13.3.22."""
+def hyp_u_dz(a, b, z, order: int = 1) -> complex:
+    """Derivative d^k/dz^k U(a,b,z), k = order an integer >= 0, by the
+    parameter shift d^k/dz^k U(a,b,z) = (-1)^k (a)_k U(a+k, b+k, z), DLMF 13.3.22."""
     if order < 0 or int(order) != order:
         raise DomainError(f"derivative order must be a nonnegative integer, got {order}")
+    a = _as_complex(a)
+    b = _as_complex(b)
     c = 1.0 + 0.0j
     for j in range(int(order)):
         c *= -(a + j)
-    return c
+    return c * hyp_u(a + order, b + order, z)
 
 
-def hyp_u_dz(a, b, z, order: int = 1) -> complex:
-    """Derivative d^k/dz^k U(a,b,z), k = order an integer >= 0, by the parameter shift."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    return u_shift_factor(a, order) * hyp_u(a + order, b + order, z)
+def u_ladder(a0, b0, db: int, w, n_lo: int, count: int):
+    """Pairs (U(a, b, w), U(a+1, b+1, w)) at a = a0 + n, b = b0 + db n, in order
+    of n = n_lo, ..., n_lo + count - 1.
+
+    Only the pair at a seed term comes from ``hyp_u``; the others follow
+    from contiguous relations of U, run from the seed in the direction in
+    which U is the dominant solution, so that rounding does not grow
+    (Gautschi, SIAM Rev. 9, 1967).  The pairs above the top seed are
+    computed as they are taken, so a caller that stops early pays for no
+    more steps.
+
+    db = 1: w (a+1) U(a+2, b+2) = (b - w) U(a+1, b+1) + U(a, b), Kummer's
+    equation written in the shifts.  U is minimal in n while Re a is
+    below about |w| and dominant beyond, so the seed sits at Re a ~ |w|:
+    the relation runs backward from there, with no division, and forward
+    above it.
+
+    db = 2: w U(a+1, b+2) = b U(a+1, b+1) + U(a, b), applied at (a, b)
+    and at (a+1, b+1), with U(a+2, b+2) from the db = 1 relation.  U is
+    dominant forward from Re b ~ 1 - 2 min(Re w, 0), where the seed sits;
+    the terms below it solve the same relations backward, which divides
+    by b - a.  For w in the left half-plane backward steps lose digits
+    again once Re b falls below about 1 + 1.5 Re w, so a two-sided ladder
+    that reaches there takes a second seed pair at that point and fills
+    the terms below it from that seed.
+
+    Every forward step divides by a + 1, so the top seed also sits above
+    the zero of a + 1 when Im a is small.  Where a0 is a nonpositive
+    integer (a polynomial U) that puts it at a >= 0, and the backward
+    steps cross a = -1, whose factor a + 1 = 0 drops the seed's
+    transcendental part exactly.
+    """
+    a0 = _as_complex(a0)
+    b0 = _as_complex(b0)
+    w = _as_complex(w)
+    if count < 1:
+        raise DomainError(f"ladder needs at least one term, got {count}")
+    n_hi = n_lo + count - 1
+    if db == 1:
+        seed = min(max(round(abs(w) - a0.real), n_lo), n_hi)
+        return _ladder_1(a0 + n_lo, b0 + n_lo, w, seed - n_lo, count)
+    if db != 2:
+        raise DomainError(f"ladder step in b must be 1 or 2, got {db}")
+    centre, left = (1 - b0.real) / 2, max(0.0, -w.real)
+    top = round(centre + left)
+    if abs(a0.imag) < 0.5:
+        top = max(top, math.ceil(-a0.real - 0.5))
+    top = min(max(top, n_lo), n_hi)
+    low = round(centre - 0.75 * left)
+    seeds = [low - n_lo] if n_lo < low < top else []
+    return _ladder_2(a0 + n_lo, b0 + 2 * n_lo, w, seeds + [top - n_lo], count)
+
+
+def _ladder_1(a, b, w, seed, count):
+    """db = 1 ladder: f_j = U(a+j, b+j, w), term j is (f_j, f_{j+1})."""
+    f = [0j] * (seed + 2)
+    f[seed] = hyp_u(a + seed, b + seed, w)
+    f[seed + 1] = hyp_u(a + seed + 1, b + seed + 1, w)
+    for j in range(seed - 1, -1, -1):
+        f[j] = w * (a + j + 1) * f[j + 2] - (b + j - w) * f[j + 1]
+    yield from zip(f, f[1:])
+    lo, hi = f[seed], f[seed + 1]
+    for j in range(seed, count - 1):
+        lo, hi = hi, ((b + j - w) * hi + lo) / (w * (a + j + 1))
+        yield lo, hi
+
+
+def _ladder_2(a, b, w, seeds, count):
+    """db = 2 ladder: term j is (U(a+j, b+2j, w), U(a+j+1, b+2j+1, w)).
+
+    Each seed fills the terms below it down to the seed before it."""
+    g = [0j] * (seeds[-1] + 1)
+    h = [0j] * (seeds[-1] + 1)
+    stop = -1
+    for s in seeds:
+        g[s] = hyp_u(a + s, b + 2 * s, w)
+        h[s] = hyp_u(a + s + 1, b + 2 * s + 1, w)
+        for j in range(s - 1, stop, -1):
+            aj, bj = a + j, b + 2 * j
+            u22 = (w * h[j + 1] - g[j + 1]) / (bj - aj)  # U(aj+2, bj+2)
+            h[j] = g[j + 1] - (aj + 1) * u22
+            g[j] = w * g[j + 1] - bj * h[j]
+        stop = s
+    yield from zip(g, h)
+    gj, hj = g[-1], h[-1]
+    for j in range(seeds[-1], count - 1):
+        aj, bj = a + j, b + 2 * j
+        u22 = ((bj - w) * hj + gj) / (w * (aj + 1))
+        gj, hj = (bj * hj + gj) / w, ((bj + 1) * u22 + hj) / w
+        yield gj, hj
 
 
 def whittaker_w(kappa, mu, y) -> complex:

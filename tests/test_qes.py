@@ -166,6 +166,21 @@ def test_second_type_quasi_polynomials_not_regular():
     assert not rep.passed
 
 
+def test_uncertified_energies_ordered_by_imag_within_equal_real_parts():
+    # the sinh-forced quasi-polynomial energies at B = 1.3, s = 1.5 are two
+    # conjugate-like pairs whose real parts agree only up to rounding; both
+    # routes must list each pair in the same order, negative imaginary first
+    prob = QesProblem("SECOND_TYPE", B=1.3, s=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spectra = [quasi_polynomial_spectrum(prob, route=r).energies for r in ("PAIR1", "PAIR3")]
+    for energies in spectra:
+        assert len(energies) == 4
+        for lo, hi in (energies[0:2], energies[2:4]):
+            assert abs(lo.real - hi.real) < 1e-12 and lo.imag < 0 < hi.imag
+    assert np.allclose(spectra[0], spectra[1], rtol=0, atol=1e-12)
+
+
 def test_second_type_algebraic_route_rejected():
     with pytest.raises(DomainError):
         qes_spectrum(QesProblem("SECOND_TYPE", B=2.0, s=0.5))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-import dcheun.solutions
+import dcheun.specialfn
 from dcheun.core import DcheParams, residual_parts
 from dcheun.errors import DenominatorError, DomainError, NoConvergence, SectorWarning
 from dcheun.recurrence import char_root, finite_series_condition, tridiag_eigen
@@ -297,22 +297,30 @@ def test_degenerate_pair_2_residual(ie, form):
         assert rel_residual(pt, u_inf, z) < 1e-8, (form, z)
 
 
-@pytest.mark.parametrize("build, calls", [(build_pair_power, 3 + 2), (build_pair_coulomb, 3 * 3)])
-def test_u_computed_once_per_series_point(build, calls, monkeypatch):
-    # B2 = 0.5, i eta = -2.25 ends pair 3 after N = 3 terms, all dyadic so
-    # a0 + n + j is exact; the member at infinity has db = 1 (power pair:
-    # terms share U values, N + 2 calls) and db = 2 (Coulomb: 3N calls)
-    p = DcheParams(1.0, 0.5, 0.25, 0.5j, 2.25j)
+@pytest.mark.parametrize("build", [build_pair_power, build_pair_coulomb])
+def test_two_direct_u_calls_per_series_point(build, monkeypatch):
+    # B2 = 0.5, i eta = -2.25 ends pair 3 after N = 3 terms; the member at
+    # infinity has a0 = -2 (every U a polynomial) and db = 1 (power pair)
+    # or db = 2 (Coulomb).  Its U ladder takes two direct values per point,
+    # and the rest by recurrence, also across the pole of the forward step.
+    p = DcheParams(1.0, 0.5, 0.0, 0.5j, 2.25j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = p.with_b3(-tridiag_eigen(power_coeffs(3, p), 3).values[0])  # closes the series
     u_inf, _ = build(3, p)
     assert u_inf.finite and all(u_inf.coeffs.values)
-    real_u, seen = dcheun.solutions.hyp_u, []
+    assert u_inf.scheme.a0 == -2
+    real_u, seen = dcheun.specialfn.hyp_u, []
 
     def counting_u(a, b, w):
         seen.append((a, b, w))
         return real_u(a, b, w)
 
-    monkeypatch.setattr(dcheun.solutions, "hyp_u", counting_u)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u_inf(1.2 + 0.3j)
-    assert len(seen) == calls == len(set(seen))
+    monkeypatch.setattr(dcheun.specialfn, "hyp_u", counting_u)
+    for z in (1.2 + 0.3j, 0.7 - 0.9j):
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u_inf(z)
+        assert len(seen) <= 2
+        assert rel_residual(p, u_inf, z) < 1e-10

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
+import dcheun.specialfn
 from dcheun.errors import BranchError, DomainError, PoleError
 from dcheun.specialfn import (
     _u_laplace,
@@ -21,6 +22,7 @@ from dcheun.specialfn import (
     hyp_u_dz,
     kummer_transform,
     laguerre,
+    u_ladder,
     whittaker_w,
 )
 
@@ -158,6 +160,66 @@ def test_u_on_recorded_connection_misses():
         a, b, z = (complex(*rec[k]) for k in ("a", "b", "z"))
         ref = _mp_u(a, b, z)
         assert abs(hyp_u(a, b, z) - ref) <= 1e-11 * abs(ref), rec
+
+
+def _ladder_draws(n: int, seed: int):
+    """(a0, b0, db, w, n_lo, count) with |w| in [0.3, 8] log-uniform and every
+    third draw at |arg w| < 0.4; db = 1 and 2 in turn, n from 0 to 60; every
+    fourth db = 2 draw two-sided, n from -40 to 40 (the Coulomb-nu window);
+    every fourth draw of each db a polynomial start, a0 in {0, -1, -2}."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        r = math.exp(rng.uniform(math.log(0.3), math.log(8.0)))
+        arg = rng.uniform(-0.4, 0.4) if i % 3 == 0 else rng.uniform(-math.pi, math.pi)
+        db, kind = 1 + i % 2, (i // 2) % 4
+        a0 = complex(-(i // 8 % 3)) if kind == 3 else complex(rng.uniform(-1, 2), rng.uniform(-1, 1))
+        b0 = complex(rng.uniform(0.0, 3.0), rng.uniform(-1.0, 1.0))
+        n_lo, count = (-40, 81) if db == 2 and kind == 2 else (0, 61)
+        yield a0, b0, db, cmath.rect(r, arg), n_lo, count
+
+
+@pytest.fixture(scope="module")
+def ladder_sweep():
+    """Draws with mpmath's pairs at every fourth term and the last."""
+    out = []
+    for a0, b0, db, w, n_lo, count in _ladder_draws(36, 77):
+        js = sorted(set(range(0, count, 4)) | {count - 1})
+        ref = {}
+        for j in js:
+            a, b = a0 + n_lo + j, b0 + db * (n_lo + j)
+            ref[j] = (_mp_u(a, b, w), _mp_u(a + 1, b + 1, w))
+        out.append(((a0, b0, db, w, n_lo, count), ref))
+    return out
+
+
+def _ladder_error(args, ref) -> float:
+    pairs = list(u_ladder(*args))
+    assert len(pairs) == args[-1]
+    return max(abs(got - want) / abs(want)
+               for j, pair in ref.items() for got, want in zip(pairs[j], pair))
+
+
+def test_u_ladder_recurrence_against_mpmath(ladder_sweep, monkeypatch):
+    # with mpmath's seeds the error is the recurrence's own: it must not
+    # grow away from a seed in either direction.  A seed is two direct
+    # values; only a two-sided db = 2 ladder may take a second seed.
+    seeds = []
+
+    def mp_seed(a, b, w):
+        seeds.append(a)
+        return _mp_u(a, b, w)
+
+    monkeypatch.setattr(dcheun.specialfn, "hyp_u", mp_seed)
+    for args, ref in ladder_sweep:
+        seeds.clear()
+        assert _ladder_error(args, ref) <= 1e-12, args
+        assert len(seeds) == 2 or (len(seeds) == 4 and args[4] < 0)
+
+
+def test_u_ladder_against_mpmath(ladder_sweep):
+    # with the library's seeds, within the 1e-11 that U's own routes gate on
+    for args, ref in ladder_sweep:
+        assert _ladder_error(args, ref) <= 1e-11, args
 
 
 def test_u_terminates_to_laguerre(rng):
