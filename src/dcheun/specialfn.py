@@ -54,6 +54,9 @@ _GAMMA_REL = 5e-15
 # have poles there, and its estimate (of order eps / |b - n|) would reject it
 _INTEGER_B_WINDOW = 1e-5
 _LAPLACE_TOL = 1e-12
+# a db = 2 ladder seeds the term where |b - a| is below this: a backward
+# step there divides by b - a, and loses about log10(1 / |b - a|) digits
+_LADDER_GAP = 0.1
 
 
 def _as_complex(x) -> complex:
@@ -322,7 +325,10 @@ def u_ladder(a0, b0, db: int, w, n_lo: int, count: int):
     by b - a.  For w in the left half-plane backward steps lose digits
     again once Re b falls below about 1 + 1.5 Re w, so a two-sided ladder
     that reaches there takes a second seed pair at that point and fills
-    the terms below it from that seed.
+    the terms below it from that seed.  A backward step also loses digits
+    as b - a nears 0, and cannot be taken where it is 0: where b - a =
+    b0 - a0 + n is within ``_LADDER_GAP`` of 0 at a term n below the top
+    seed, that term is a seed too.
 
     Every forward step divides by a + 1, so the top seed also sits above
     the zero of a + 1 when Im a is small.  Where a0 is a nonpositive
@@ -347,7 +353,11 @@ def u_ladder(a0, b0, db: int, w, n_lo: int, count: int):
         top = max(top, math.ceil(-a0.real - 0.5))
     top = min(max(top, n_lo), n_hi)
     low = round(centre - 0.75 * left)
-    seeds = [low - n_lo] if n_lo < low < top else []
+    seeds = {low} if n_lo < low < top else set()
+    k = round(a0.real - b0.real)  # backward steps divide by b - a = b0 - a0 + n
+    if n_lo <= k < top and abs(b0 - a0 + k) < _LADDER_GAP:
+        seeds.add(k)
+    seeds = sorted(s - n_lo for s in seeds)
     return _ladder_2(a0 + n_lo, b0 + 2 * n_lo, w, seeds + [top - n_lo], count)
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dcheun.solutions
 import dcheun.specialfn
 from dcheun.core import DcheParams, residual_parts
 from dcheun.errors import DenominatorError, DomainError, NoConvergence, SectorWarning
@@ -322,5 +323,33 @@ def test_two_direct_u_calls_per_series_point(build, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             u_inf(z)
-        assert len(seen) <= 2
+        assert len(seen) == 2 == len(set(seen))  # one seed: U(a, b) and U(a+1, b+1)
         assert rel_residual(p, u_inf, z) < 1e-10
+
+
+def _direct_u_ladder(a0, b0, db, w, n_lo, count):
+    for n in range(n_lo, n_lo + count):
+        a, b = a0 + n, b0 + db * n
+        yield dcheun.specialfn.hyp_u(a, b, w), dcheun.specialfn.hyp_u(a + 1, b + 1, w)
+
+
+@pytest.mark.parametrize("pair_id,b2,ie", [(1, 0.5, -1.75), (2, 3.5, -1.75),
+                                           (3, 0.5, 1.25), (4, 3.5, 1.25)])
+def test_coulomb_ladder_where_b_minus_a_vanishes(pair_id, b2, ie, monkeypatch):
+    # b0 - a0 is 0 (member at zero of pairs 1, 2) or -1 (member at infinity
+    # of pairs 3, 4): a backward db = 2 step at that term would divide by
+    # b - a = 0.  With w = -z the member at infinity's top seed sits above
+    # n = 1.  Each member must agree with U taken directly at every term.
+    p = DcheParams(1.0, b2, 0.3, -0.5j, -1j * ie)
+    pts = (2.6 + 0.4j, 1.9 - 0.5j, 0.8 + 0.3j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pair = build_pair_coulomb(pair_id, p)
+        got = [[m(z) for z in pts] for m in pair]
+        monkeypatch.setattr(dcheun.solutions, "u_ladder", _direct_u_ladder)
+        want = [[m(z) for z in pts] for m in pair]
+    assert {(m.scheme.b0 - m.scheme.a0).real for m in pair} >= {0.0 if pair_id < 3 else -1.0}
+    for member, gs, ws in zip(pair, got, want):
+        for z, g, w in zip(pts, gs, ws):
+            for gk, wk in zip(g, w):
+                assert abs(gk - wk) <= 1e-10 * abs(wk), (member.variant, z)

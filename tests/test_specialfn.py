@@ -216,6 +216,20 @@ def test_u_ladder_recurrence_against_mpmath(ladder_sweep, monkeypatch):
         assert len(seeds) == 2 or (len(seeds) == 4 and args[4] < 0)
 
 
+@pytest.mark.parametrize("n_lo", [0, -40])
+@pytest.mark.parametrize("gap", [0.0, 1e-7, 1e-4j, 0.08])
+def test_u_ladder_where_b_minus_a_vanishes(gap, n_lo):
+    # b - a = b0 - a0 + n is `gap` at n = 3, below every top seed here: a
+    # backward db = 2 step there would divide by it
+    for a0, w in ((-1.5, 0.9 + 0.4j), (0.3 - 0.2j, -2.5 + 1.0j), (-4.2 + 0.1j, 3.0j)):
+        b0 = a0 - 3 + gap
+        count = 10 - n_lo
+        js = sorted(set(range(0, count, 3)) | {count - 1, 2 - n_lo, 3 - n_lo, 4 - n_lo})
+        ref = {j: (_mp_u(a0 + n_lo + j, b0 + 2 * (n_lo + j), w),
+                   _mp_u(a0 + n_lo + j + 1, b0 + 2 * (n_lo + j) + 1, w)) for j in js}
+        assert _ladder_error((a0, b0, 2, w, n_lo, count), ref) <= 1e-12, (a0, w)
+
+
 def test_u_ladder_against_mpmath(ladder_sweep):
     # with the library's seeds, within the 1e-11 that U's own routes gate on
     for args, ref in ladder_sweep:
