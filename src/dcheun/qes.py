@@ -223,7 +223,7 @@ def infinite_spectrum(
     roots = []
     for seed in seeds:
         try:
-            r = char_root(factory, complex(seed), tol=tol, depth=depth)
+            r = char_root(factory, complex(seed), tol=tol)
         except (DcheunError, ArithmeticError):
             continue
         e = r.x.real

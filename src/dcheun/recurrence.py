@@ -1,9 +1,13 @@
 """Three-term recurrence engine.
 
-Coefficient generation for one- and two-sided series, continued-fraction
-characteristic equations (modified Lentz), minimal-solution diagnostics,
-finite-series detection, and the small tridiagonal eigenproblems that
-arise from terminating series.
+Forward generation, finite-series detection, the small tridiagonal
+eigenproblems that arise from terminating series, and one minimal-solution
+routine (``_minimal_ratios``).  It starts the deepest ratio from the tail's
+continued fraction (modified Lentz), fills the rest by backward recursion,
+and raises NoConvergence when the fraction has not settled within
+``_CF_ROWS`` rows.  The one-sided series, both tails of a two-sided
+sequence and the characteristic value (row 0 of the minimal solution) all
+take their ratios from it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .errors import CFBreakdownError, GenerationError, NoConvergence, TheoremVio
 
 _TINY = 1e-30
 _INTEGER_TOL = 1e-9
+_CF_ROWS = 400
+_CF_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -96,49 +102,74 @@ def generate(coeffs: ThreeTermCoeffs, n_max: int, finite_n: Optional[int] = None
     return CoeffSeq(values=b, finite=finite_n is not None)
 
 
-def _minimal_ratios(num, diag, off, count: int, depth: int) -> list:
+def _minimal_ratios(num, diag, off, count: int) -> list:
     """Ratios r_k = x_k / x_{k-1}, k = 1..count, of the minimal solution of
 
-        off(k) x_{k+1} + diag(k) x_k + num(k) x_{k-1} = 0,
+        off(k) x_{k+1} + diag(k) x_k + num(k) x_{k-1} = 0.
 
+    The deepest ratio is the tail's continued fraction
+
+        r_count = -num(count) / (diag(count) - off(count) num(count+1) / (diag(count+1) - ...)),
+
+    summed by ``lentz`` over at most ``_CF_ROWS`` rows; the others follow
     by backward recursion r_k = -num(k) / (diag(k) + off(k) r_{k+1})
-    started at r = 0 ``depth`` rows beyond ``count`` (Gautschi, SIAM Rev.
-    9 (1967)), which damps the dominant branch.  The right tail of a
-    recurrence is (gamma, beta, alpha); the left tail is the same
-    recursion under n -> -n with alpha and gamma swapped.
+    (Gautschi, SIAM Rev. 9 (1967)).  The right tail of a recurrence is
+    (gamma, beta, alpha); the left tail is the same recursion under
+    n -> -n with alpha and gamma swapped (``_tail``).  Raises
+    NoConvergence when the fraction does not settle: then the recurrence
+    has no minimal solution there, or none that the cap resolves.
     """
-    r = 0.0j
-    ratios = []
-    for k in range(count + depth, 0, -1):
+    if count < 1:
+        return []
+    r = lentz(
+        lambda j: -num(count) if j == 1 else -off(count + j - 2) * num(count + j - 1),
+        lambda j: diag(count + j - 1),
+        _CF_ROWS,
+        _CF_TOL,
+    )
+    ratios = [r]
+    for k in range(count - 1, 0, -1):
         den = diag(k) + off(k) * r
         if den == 0:
             den = _TINY
         r = -num(k) / den
-        if k <= count:
-            ratios.append(r)
+        ratios.append(r)
     ratios.reverse()
     return ratios
 
 
-def generate_minimal(coeffs: ThreeTermCoeffs, n_max: int, depth: int = 60) -> CoeffSeq:
+def _tail(coeffs: ThreeTermCoeffs, side: int):
+    """(num, diag, off) of the right (side = +1) or left (side = -1) tail."""
+    if side > 0:
+        return coeffs.gamma, coeffs.beta, coeffs.alpha
+    return (
+        lambda m: coeffs.alpha(-m), lambda m: coeffs.beta(-m), lambda m: coeffs.gamma(-m)
+    )
+
+
+def generate_minimal(coeffs: ThreeTermCoeffs, n_max: int) -> CoeffSeq:
     """Minimal-solution sequence b_0 = 1, ..., b_{n_max} by backward recursion.
 
     Forward generation of a minimal solution is unstable: roundoff seeds
-    the dominant branch, which overtakes after a few dozen terms.  Ratios
-    b_n / b_{n-1} are instead started ``depth`` rows beyond n_max and
-    recursed downward (``_minimal_ratios``).  Consistent with the n = 0
-    row only when the characteristic equation holds.
+    the dominant branch, which overtakes after a few dozen terms.  The
+    ratios b_n / b_{n-1} come from ``_minimal_ratios`` instead.
+    Consistent with the n = 0 row only when the characteristic equation
+    holds.
     """
     if coeffs.two_sided:
         raise GenerationError("use generate_two_sided for two-sided coefficients")
     if n_max < 0:
         raise GenerationError("n_max must be >= 0")
-    ratios = _minimal_ratios(coeffs.gamma, coeffs.beta, coeffs.alpha, n_max, depth)
+    ratios = _minimal_ratios(*_tail(coeffs, +1), n_max)
     return CoeffSeq(values=list(accumulate(ratios, operator.mul, initial=1.0 + 0.0j)))
 
 
 def lentz(a: Callable[[int], complex], b: Callable[[int], complex], depth: int, tol: float):
-    """Value of a(1)/(b(1) + a(2)/(b(2) + ...)) by the modified Lentz algorithm."""
+    """Value of a(1)/(b(1) + a(2)/(b(2) + ...)) by the modified Lentz algorithm.
+
+    Stops once a row changes the value by less than ``tol`` (relative);
+    raises NoConvergence when ``depth`` rows do not get there.
+    """
     f = _TINY
     c = f
     d = 0.0j
@@ -157,42 +188,20 @@ def lentz(a: Callable[[int], complex], b: Callable[[int], complex], depth: int, 
             raise CFBreakdownError("continued fraction overflowed despite rescue")
         if abs(delta - 1.0) < tol and j > 2:
             return f
-    return f
+    raise NoConvergence(f"continued fraction not settled after {depth} rows")
 
 
-def _tail_fraction(coeffs: ThreeTermCoeffs, direction: int, depth: int, tol: float) -> complex:
-    """Right tail (direction=+1): a0 g1/(b1-) a1 g2/(b2-)...; left mirrors it."""
-    if direction > 0:
-        def a(j):
-            s = 1.0 if j == 1 else -1.0
-            return s * coeffs.alpha(j - 1) * coeffs.gamma(j)
-
-        def b(j):
-            return coeffs.beta(j)
-    else:
-        def a(j):
-            s = 1.0 if j == 1 else -1.0
-            return s * coeffs.alpha(-j) * coeffs.gamma(-j + 1)
-
-        def b(j):
-            return coeffs.beta(-j)
-
-    return lentz(a, b, depth, tol)
-
-
-def char_value(coeffs: ThreeTermCoeffs, depth: int = 60, tol: float = 1e-14) -> complex:
+def char_value(coeffs: ThreeTermCoeffs) -> complex:
     """Characteristic function whose root selects the minimal solution.
 
-    One-sided: beta(0) - K with K the infinite continued fraction of the
-    right tail.  Two-sided: beta(0) minus both the left and right tails.
-    A root of char_value = 0 is the condition for the generated sequence
-    to be the minimal solution.
+    Row 0 of the minimal solution: beta(0) + alpha(0) r_1, plus
+    gamma(0) r_{-1} when two-sided, with the ratios r_{+-1} = b_{+-1} / b_0
+    of each tail from ``_minimal_ratios``.  It vanishes exactly when the
+    minimal solution also satisfies the central row.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    value = coeffs.beta(0) - _tail_fraction(coeffs, +1, depth, tol)
+    value = coeffs.beta(0) + coeffs.alpha(0) * _minimal_ratios(*_tail(coeffs, +1), 1)[0]
     if coeffs.two_sided:
-        value -= _tail_fraction(coeffs, -1, depth, tol)
+        value += coeffs.gamma(0) * _minimal_ratios(*_tail(coeffs, -1), 1)[0]
     return value
 
 
@@ -207,20 +216,21 @@ def char_root(
     factory: Callable[[complex], ThreeTermCoeffs],
     guess: complex,
     tol: float = 1e-11,
-    depth: int = 80,
     max_iter: int = 200,
 ) -> RootResult:
     """Secant root of x -> char_value(factory(x)) starting from guess.
 
     ``x`` is whatever scalar parametrizes the coefficients (a constant
     term, a phase parameter, an energy).  Raises NoConvergence after
-    ``max_iter`` steps; multi-start from perturbed guesses is advised.
+    ``max_iter`` steps, or at the first iterate whose continued fraction
+    does not settle within ``_CF_ROWS`` rows; multi-start from perturbed
+    guesses is advised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     def f(x):
-        return char_value(factory(x), depth=depth, tol=min(tol * 1e-3, 1e-14))
+        return char_value(factory(x))
 
     x0 = complex(guess)
     x1 = x0 * (1 + 1e-4) + 1e-4 * (1 + 0.3j)
@@ -242,43 +252,6 @@ def char_root(
         f"secant iteration stalled at |char_value| = {abs(f1):.3e} after {max_iter} steps; "
         "try a different starting guess (multi-start)"
     )
-
-
-@dataclass
-class RatioReport:
-    skipped: bool
-    fitted: complex = 0.0
-    expected: Optional[complex] = None
-    passed: Optional[bool] = None
-    growing: bool = False
-
-
-def minimal_ratio_check(seq: CoeffSeq, expected_const: Optional[complex] = None) -> RatioReport:
-    """Check that b_{n+1}/b_n decays like const/n (minimal solution pattern).
-
-    The dominant solution has ratios growing like -n instead.  For a
-    finite series the test is meaningless and is skipped with a flag.
-    ``expected_const`` is the predicted limit of n * b_{n+1}/b_n.
-    """
-    if seq.finite:
-        return RatioReport(skipped=True)
-    vals = seq.values
-    if len(vals) < 20:
-        raise ValueError("need at least 20 coefficients for the ratio check")
-    n_hi = len(vals) - 2
-    fitted = []
-    for n in range(max(1, n_hi - 8), n_hi + 1):
-        if vals[n] == 0:
-            continue
-        fitted.append(n * vals[n + 1] / vals[n])
-    c = fitted[-1]
-    growing = abs(vals[-1]) > abs(vals[len(vals) // 2]) and abs(c) > 10 * max(
-        1.0, abs(expected_const or 1.0)
-    )
-    passed = None
-    if expected_const is not None:
-        passed = (not growing) and abs(c - expected_const) <= 0.2 * abs(expected_const)
-    return RatioReport(skipped=False, fitted=c, expected=expected_const, passed=passed, growing=growing)
 
 
 # Finite-series conditions per solution pair: the displayed offsets
@@ -377,39 +350,16 @@ def _spectral_order(values: list) -> list:
     return out + sorted(group, key=lambda u: u.imag)
 
 
-def generate_two_sided(
-    coeffs: ThreeTermCoeffs,
-    window: Optional[int] = None,
-    depth: int = 60,
-    tail_tol: float = 1e-16,
-) -> CoeffSeq:
+def generate_two_sided(coeffs: ThreeTermCoeffs, window: int) -> CoeffSeq:
     """Two-sided minimal sequence b_n, |n| <= window, normalized b_0 = 1.
 
-    Ratios toward each tail are evaluated by backward recursion started
-    deep in the tail (minimal-solution selection).  If ``window`` is None
-    it is doubled from 8 until both tail coefficients are below
-    tail_tol * max|b_n|, capped at 128.
+    Each tail's ratios come from ``_minimal_ratios``.
     """
     if not coeffs.two_sided:
         raise GenerationError("coefficients are not two-sided")
-
-    def build(w: int) -> CoeffSeq:
-        right = _minimal_ratios(coeffs.gamma, coeffs.beta, coeffs.alpha, w, depth)
-        left = _minimal_ratios(
-            lambda m: coeffs.alpha(-m), lambda m: coeffs.beta(-m), lambda m: coeffs.gamma(-m),
-            w, depth,
-        )
-        one = 1.0 + 0.0j
-        below = list(accumulate(left, operator.mul, initial=one))[:0:-1]  # b_{-w}..b_{-1}
-        above = list(accumulate(right, operator.mul, initial=one))  # b_0..b_w
-        return CoeffSeq(values=below + above, n_min=-w)
-
-    if window is not None:
-        return build(window)
-    w = 8
-    while True:
-        seq = build(w)
-        mx = max(abs(v) for v in seq.values)
-        if (abs(seq.values[0]) <= tail_tol * mx and abs(seq.values[-1]) <= tail_tol * mx) or w >= 128:
-            return seq
-        w *= 2
+    one = 1.0 + 0.0j
+    right = _minimal_ratios(*_tail(coeffs, +1), window)
+    left = _minimal_ratios(*_tail(coeffs, -1), window)
+    below = list(accumulate(left, operator.mul, initial=one))[:0:-1]  # b_{-w}..b_{-1}
+    above = list(accumulate(right, operator.mul, initial=one))  # b_0..b_w
+    return CoeffSeq(values=below + above, n_min=-window)

@@ -38,8 +38,6 @@ from .recurrence import (
 )
 from .specialfn import u_ladder
 
-FAMILIES = ("POWER_DESC", "POWER_ASC", "HYP_U_IN_1/Z", "HYP_U_IN_Z", "COULOMB_NU")
-
 _TRUNC_TOL = 1e-16
 _DEN_TOL = 1e-9
 

@@ -21,7 +21,7 @@ from dcheun.kernels import (
     whittaker_index_check,
 )
 from dcheun.recurrence import finite_series_condition, tridiag_eigen
-from dcheun.solutions import build_pair_power, power_coeffs
+from dcheun.solutions import build_pair_power, power_coeffs, r3_family
 from dcheun.specialfn import gamma
 
 # i eta = -1.3 satisfies the K1 condition Re(B2/2 - i eta - 1) > 0 and
@@ -136,6 +136,28 @@ def test_boundary_term_negative_control():
         warnings.simplefilter("ignore")
         br = verify_boundary_terms(pair, KernelSpec("K1", p_bad), 1.1)
     assert not br.vanishes_at_1
+
+
+# (B1, B2, omega, eta, z) of two terminating K1 sign-flip inputs (N = 3)
+# whose boundary term has a zero near xi ~ 1.01, next to the finite end
+NEAR_ZERO_BOUNDARY = [
+    (1.0813397167202563, 0.3380074744557682, 0.5771544873410647j, 2.169003737227884j,
+     1.1707421003407195),
+    (0.8594468267439596, 0.36783957136008677, 0.5052529533502662j, 2.183919785680043j,
+     1.0817607834277496),
+]
+
+
+@pytest.mark.parametrize("b1,b2,omega,eta,z", NEAR_ZERO_BOUNDARY, ids=("B1=1.08", "B1=0.86"))
+def test_boundary_slope_not_fooled_by_a_nearby_zero(b1, b2, omega, eta, z):
+    p = DcheParams(b1, b2, 0.0, omega, eta)
+    p = p.with_b3(closing_b3(1, p, 3))
+    flip = DcheParams(p.b1, p.b2, p.b3, -p.omega, -p.eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        br = verify_boundary_terms(r3_family(1, flip), r3_companion(KernelSpec("K1", flip)), z)
+    assert br.vanishes_at_1
+    assert abs(br.fitted_eps_slope - br.predicted_eps_slope) < 0.05 * br.predicted_eps_slope
 
 
 def test_appendix_a1_quadrature_vs_closed_form(rng):

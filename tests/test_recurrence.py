@@ -8,7 +8,6 @@ import pytest
 from dcheun.core import DcheParams
 from dcheun.errors import GenerationError, NoConvergence, TheoremViolation
 from dcheun.recurrence import (
-    CoeffSeq,
     ThreeTermCoeffs,
     char_root,
     char_value,
@@ -17,9 +16,11 @@ from dcheun.recurrence import (
     generate_minimal,
     generate_two_sided,
     lentz,
-    minimal_ratio_check,
     tridiag_eigen,
 )
+from dcheun.solutions import coulomb_nu_coeffs, power_coeffs
+
+from conftest import draw_params
 
 
 def bessel_coeffs(x: float) -> ThreeTermCoeffs:
@@ -60,7 +61,7 @@ def test_minimal_generation_reproduces_bessel():
     from scipy.special import jv
 
     x = 1.7
-    seq = generate_minimal(bessel_coeffs(x), 12, depth=80)
+    seq = generate_minimal(bessel_coeffs(x), 12)
     for n in range(13):
         ref = jv(n, x) / jv(0, x)
         assert abs(seq.b(n) - ref) < 1e-12 * max(1.0, abs(ref)), n
@@ -83,6 +84,43 @@ def test_lentz_known_continued_fraction():
     assert abs(val - math.tanh(1.0)) < 1e-14
 
 
+def test_lentz_raises_when_rows_run_out():
+    # -2/(1 - 2/(1 - ...)) would be a root of x^2 + x + 2: complex, so the
+    # real iterates never settle
+    with pytest.raises(NoConvergence):
+        lentz(lambda j: -2.0, lambda j: 1.0, 40, 1e-14)
+
+
+def test_generate_minimal_raises_without_minimal_solution():
+    # constant rows x_{n+1} + x_n + 2 x_{n-1} = 0: both roots of t^2 + t + 2
+    # have modulus sqrt(2), so no solution is minimal
+    coeffs = ThreeTermCoeffs(alpha=lambda n: 1.0, beta=lambda n: 1.0, gamma=lambda n: 2.0)
+    with pytest.raises(NoConvergence):
+        generate_minimal(coeffs, 10)
+
+
+def test_char_value_is_row_zero_of_the_minimal_solution(rng):
+    # char_value is beta(0) + alpha(0) b_1 (+ gamma(0) b_{-1}) on the
+    # sequences that generate_minimal and generate_two_sided build
+    def check(tc, seq):
+        row = [tc.beta(0), tc.alpha(0) * seq.b(1)]
+        if tc.two_sided:
+            row.append(tc.gamma(0) * seq.b(-1))
+        assert abs(char_value(tc) - sum(row)) <= 1e-12 * max(abs(t) for t in row)
+
+    for k in range(40):
+        tc = power_coeffs(1 + k % 4, draw_params(rng))
+        check(tc, generate_minimal(tc, 60))
+    done = 0
+    while done < 40:
+        nu = complex(rng.uniform(-1.5, 1.0), rng.uniform(-1.0, 1.0))
+        if abs(2 * nu - round((2 * nu).real)) < 0.1:  # on a denominator n + nu + {0, +-1/2, 1}
+            continue
+        tc = coulomb_nu_coeffs(1 + done % 2, draw_params(rng), nu)
+        check(tc, generate_two_sided(tc, window=24))
+        done += 1
+
+
 def test_char_value_vanishes_on_minimal_solution():
     # the Bessel recurrence admits a minimal solution for every x, but the
     # characteristic equation holds only where beta(0) balances the tail;
@@ -95,7 +133,7 @@ def test_char_value_vanishes_on_minimal_solution():
     )
     # row n reads alpha b_{n+1} + beta b_n + gamma b_{n-1} with b_{-1} = J_0(x) = 0,
     # so char_value(coeffs) = beta(0) - CF must vanish at a zero of J_0
-    assert abs(char_value(coeffs, depth=120)) < 1e-12
+    assert abs(char_value(coeffs)) < 1e-12
 
 
 def test_char_root_finds_bessel_zero():
@@ -119,18 +157,6 @@ def test_char_root_reports_stall():
 
     with pytest.raises(NoConvergence):
         char_root(fac, 0.3, max_iter=5)
-
-
-def test_minimal_ratio_check_flags_dominant_branch():
-    x = 1.7
-    minimal = generate_minimal(bessel_coeffs(x), 30, depth=80)
-    rep = minimal_ratio_check(minimal, expected_const=None)
-    assert not rep.growing
-    dominant = generate(bessel_coeffs(x), 30)
-    rep = minimal_ratio_check(dominant)
-    assert rep.growing
-    finite = CoeffSeq(values=[1.0, 2.0], finite=True)
-    assert minimal_ratio_check(finite).skipped
 
 
 def test_finite_series_condition_offsets():

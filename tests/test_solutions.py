@@ -214,6 +214,15 @@ def test_untuned_series_is_not_a_solution(rng):
         assert rel_residual(p.with_b3(p.b3 + 0.37), bad, 1.1) > 1e-4
 
 
+def test_short_series_raises_on_a_live_tail(rng):
+    # four terms of a non-terminating pair leave the tail at z = 1 far
+    # above series_tol of its peak: evaluate must refuse the truncated sum
+    p = tune_b3(1, draw_params(rng))
+    for member in build_pair_power(1, p, 4):
+        with pytest.raises(NoConvergence):
+            member(1.0)
+
+
 def test_coulomb_form_selection():
     base = dict(b1=1.0, b2=0.7, b3=0.2, omega=0.8)
     assert coulomb_form(1, DcheParams(eta=0.5j, **base)) == "FORM_R2A"  # i eta = -1/2
