@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError, NotDegenerate
 
 _CONSTRAINT_TOL = 1e-10
@@ -80,8 +82,9 @@ class VarMap:
     def apply(self, z: complex) -> complex:
         return self.derivatives(z)[0]
 
-    def derivatives(self, z: complex):
-        """(w, dw/dz, d2w/dz2) at z."""
+    def derivatives(self, z):
+        """(w, dw/dz, d2w/dz2) at z; the linear and inversion maps also take
+        a numpy array of points."""
         if self.kind == "linear":
             return self.const * z, self.const, 0.0j
         if self.kind == "inversion":
@@ -113,14 +116,16 @@ class GaugeMap:
         for name in ("exp_z", "exp_inv", "power", "const"):
             object.__setattr__(self, name, _c(getattr(self, name)))
 
-    def prefactor(self, z: complex) -> complex:
-        p = cmath.exp(self.exp_z * z + self.exp_inv / z)
+    def prefactor(self, z):
+        """P(z) at a scalar z (cmath) or at a numpy array of points (numpy)."""
+        xp = np if isinstance(z, np.ndarray) else cmath
+        p = xp.exp(self.exp_z * z + self.exp_inv / z)
         if self.power != 0:
-            p *= cmath.exp(self.power * cmath.log(z))
+            p *= xp.exp(self.power * xp.log(z))
         return self.const * p
 
-    def prefactor_derivatives(self, z: complex):
-        """(P, P', P'') of the prefactor at z."""
+    def prefactor_derivatives(self, z):
+        """(P, P', P'') of the prefactor at z, a scalar or a numpy array."""
         p = self.prefactor(z)
         lo = self.exp_z - self.exp_inv / z**2 + self.power / z  # (log P)'
         lo2 = 2 * self.exp_inv / z**3 - self.power / z**2       # (log P)''

@@ -9,6 +9,11 @@ infinite-series part.  Assembles eigenfunctions (with matching of the
 two series pieces when they do not terminate) and checks the regularity
 conditions psi(u) -> 0 as u -> +-infinity.  Also provides the parameter
 maps for two radial potentials that reduce to the algebraic normal forms.
+
+An eigenfunction's psi, like ``potential``, takes a float u or a float
+array; ``schrodinger_residual`` evaluates psi once on its whole grid.
+``regularity_check`` stays pointwise: it accepts any scalar psi and
+catches OverflowError point by point.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from .solutions import build_pair_power, power_coeffs
 KINDS = ("DOUBLE_MORSE", "SECOND_TYPE")
 
 _HALF_INT_TOL = 1e-9
+# a characteristic root with |Im E| above this (relative to max(1, |E|)) is
+# complex: its real part is no root, so it is not tested as a level
+_COMPLEX_ROOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,11 +80,13 @@ class QesProblem:
         return abs(2 * self.s - round(2 * self.s)) <= _HALF_INT_TOL
 
 
-def potential(problem: QesProblem, u: float) -> float:
+def potential(problem: QesProblem, u):
+    """V(u) at a float u, or at a float array of points."""
     B, C, s = problem.B, problem.C, problem.s
+    xp = np if isinstance(u, np.ndarray) else math
     if problem.kind == "DOUBLE_MORSE":
-        return (B**2 / 4) * (math.sinh(u) - C / B) ** 2 - B * (s + 0.5) * math.cosh(u)
-    return (B**2 / 4) * math.sinh(u) ** 2 - B * (s + 0.5) * math.sinh(u)
+        return (B**2 / 4) * (xp.sinh(u) - C / B) ** 2 - B * (s + 0.5) * xp.cosh(u)
+    return (B**2 / 4) * xp.sinh(u) ** 2 - B * (s + 0.5) * xp.sinh(u)
 
 
 def _psi_gauge(params: DcheParams) -> GaugeMap:
@@ -199,8 +209,9 @@ def infinite_spectrum(
     Starting guesses are the distinct real parts, inside ``bracket =
     (lo, hi)``, of the eigenvalues of the regular pair's energy matrix
     truncated at ``depth`` rows.  Each is polished by secant iteration
-    on the characteristic value, and the roots validated by an
-    eigenfunction whose two series pieces match are kept.  Raises
+    on the characteristic value; complex roots are dropped, and the real
+    roots validated by an eigenfunction whose two series pieces match are
+    kept.  Raises
     NoRoots when the bracket contains none.
 
     A characteristic root only guarantees that both series of the pair
@@ -226,6 +237,8 @@ def infinite_spectrum(
             r = char_root(factory, complex(seed), tol=tol)
         except (DcheunError, ArithmeticError):
             continue
+        if abs(r.x.imag) > _COMPLEX_ROOT_TOL * max(1.0, abs(r.x)):
+            continue  # a complex characteristic root is no level
         e = r.x.real
         if not (lo - 1e-9 <= e <= hi + 1e-9):
             continue
@@ -268,15 +281,17 @@ def _member_to_psi(params: DcheParams, member) -> Callable[[float], tuple]:
     """Wrap a z-plane pair member as psi(u) with z = e^u.
 
     psi = P(u) V(u) with log P = ((B2-1)/2) u - (B1/2) e^{-u} and
-    V(u) = member(e^u); derivatives by product and chain rule.
+    V(u) = member(e^u); derivatives by product and chain rule.  ``u`` is
+    a float or a float array, which the member evaluates in one call.
     """
     b1, b2 = params.b1, params.b2
 
-    def psi(u: float):
-        z = cmath.exp(u)
+    def psi(u):
+        xp = np if isinstance(u, np.ndarray) else cmath
+        z = xp.exp(u)
         v, d1, d2 = member(z)
-        logp = ((b2 - 1) / 2) * u - (b1 / 2) * cmath.exp(-u)
-        pre = cmath.exp(logp)
+        logp = ((b2 - 1) / 2) * u - (b1 / 2) * xp.exp(-u)
+        pre = xp.exp(logp)
         g = (b2 - 1) / 2 + b1 / (2 * z)
         gp = -b1 / (2 * z)
         dv = d1 * z
@@ -300,20 +315,21 @@ def _parity_psi(problem: QesProblem, coeffs, parity: str) -> Callable[[float], t
         (coeffs.b(n) * (B / 2.0) ** (-n), n - s) for n in range(coeffs.n_max + 1)
     ]
 
-    def psi(u: float):
+    def psi(u):
+        xp, rp = (np, np) if isinstance(u, np.ndarray) else (cmath, math)
         sv = sd = sd2 = 0.0j
         for c, k in terms:
             if parity == "EVEN":
-                h, hp = cmath.cosh(k * u), cmath.sinh(k * u)
+                h, hp = xp.cosh(k * u), xp.sinh(k * u)
             else:
-                h, hp = cmath.sinh(k * u), cmath.cosh(k * u)
+                h, hp = xp.sinh(k * u), xp.cosh(k * u)
             sv += c * h
             sd += c * k * hp
             sd2 += c * k * k * h
-        logp = -(B / 2) * math.cosh(u)
-        pre = cmath.exp(logp)
-        g = -(B / 2) * math.sinh(u)
-        gp = -(B / 2) * math.cosh(u)
+        logp = -(B / 2) * rp.cosh(u)
+        pre = xp.exp(logp)
+        g = -(B / 2) * rp.sinh(u)
+        gp = -(B / 2) * rp.cosh(u)
         val = pre * sv
         dval = pre * (g * sv + sd)
         d2val = pre * ((g * g + gp) * sv + 2 * g * sd + sd2)
@@ -397,12 +413,18 @@ def eigenfunction(
             f"energy {energy} is not an eigenvalue"
         )
 
-    def psi(u: float):
-        if u >= match_u:
-            v, d1, d2 = p_inf(u)
-            return v / vi, d1 / vi, d2 / vi
-        v, d1, d2 = p_zero(u)
-        return v / vz, d1 / vz, d2 / vz
+    def psi(u):
+        if not isinstance(u, np.ndarray):
+            if u >= match_u:
+                v, d1, d2 = p_inf(u)
+                return v / vi, d1 / vi, d2 / vi
+            v, d1, d2 = p_zero(u)
+            return v / vz, d1 / vz, d2 / vz
+        out = np.empty((3, len(u)), dtype=complex)
+        for side, piece, scale in ((u >= match_u, p_inf, vi), (u < match_u, p_zero, vz)):
+            if side.any():
+                out[:, side] = np.array(piece(u[side])) / scale
+        return tuple(out)
 
     return Eigenfunction(
         psi=psi, problem=problem, energy=energy, pair_id=pair_choice,
@@ -413,16 +435,14 @@ def eigenfunction(
 def schrodinger_residual(
     efn: Eigenfunction, u_grid: Sequence[float]
 ) -> float:
-    """max |psi'' + (E - V) psi| over the grid, relative to max |psi|."""
-    worst = 0.0
-    norm = 0.0
-    res = []
-    for u in u_grid:
-        v, _, d2 = efn.psi(u)
-        r = d2 + (efn.energy - potential(efn.problem, u)) * v
-        res.append(abs(r))
-        norm = max(norm, abs(v))
-    return max(res) / max(norm, 1e-300)
+    """max |psi'' + (E - V) psi| over the grid, relative to max |psi|.
+
+    psi is called once, on the whole grid as a float array.
+    """
+    u = np.asarray(u_grid, dtype=float)
+    v, _, d2 = efn.psi(u)
+    res = np.abs(d2 + (efn.energy - potential(efn.problem, u)) * v)
+    return float(res.max()) / max(float(np.abs(v).max()), 1e-300)
 
 
 @dataclass

@@ -287,7 +287,11 @@ class EigenResult:
 
 
 def _tridiag_matrix(coeffs: ThreeTermCoeffs, size: int) -> np.ndarray:
-    """Rows 0..size-1: diagonal beta(j), superdiagonal alpha(j), subdiagonal gamma(j)."""
+    """Rows 0..size-1: diagonal beta(j), superdiagonal alpha(j), subdiagonal gamma(j).
+
+    The matrix is real when every entry is, so that an eigensolve takes
+    LAPACK's real routine.
+    """
     if size < 1:
         raise ValueError("size must be >= 1")
     m = np.zeros((size, size), dtype=complex)
@@ -296,7 +300,7 @@ def _tridiag_matrix(coeffs: ThreeTermCoeffs, size: int) -> np.ndarray:
         if j + 1 < size:
             m[j, j + 1] = coeffs.alpha(j)
             m[j + 1, j] = coeffs.gamma(j + 1)
-    return m
+    return m if m.imag.any() else m.real.copy()
 
 
 def tridiag_eigen(coeffs: ThreeTermCoeffs, size: int) -> EigenResult:

@@ -15,6 +15,12 @@ come from one ``specialfn.u_ladder``: two direct U values at a seed term
 (four for some two-sided Coulomb-nu points) and contiguous relations for
 the rest.  Each term takes U(a, b, w) and U(a+1, b+1, w), forms
 U' = -a U(a+1, b+1, w) and gets U'' from Kummer's equation.
+
+``evaluate`` takes a scalar point or a 1-D numpy array of points through
+one term loop: the arithmetic is written in operators, with exp and log
+from cmath for a scalar and from numpy for an array.  An array keeps one
+U ladder per point, stepped term by term together, and each point leaves
+the sum where a scalar call would stop.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional
+
+import numpy as np
 
 from .core import DcheParams, GaugeMap, VarMap, apply_rule
 from .errors import DenominatorError, DomainError, NoConvergence, SectorWarning
@@ -60,16 +68,18 @@ class TermScheme:
     db: int = 1
     arg: Optional[VarMap] = None
 
-    def term(self, n: int, z: complex, w_derivs, u):
+    def term(self, n: int, z, w_derivs, u, xp=cmath):
         """(value, d1, d2) of the bare term t_n at z.  ``w_derivs`` is the triple
         (w, dw/dz, d2w/dz2) at z and ``u`` the pair (U(a, b, w), U(a+1, b+1, w))
-        of this term; both are None when the scheme has no U factor."""
+        of this term; both are None when the scheme has no U factor.  ``z``
+        and the parts of ``w_derivs`` and ``u`` may be numpy arrays of points,
+        with ``xp`` = numpy supplying exp and log."""
         v = 1.0 + 0.0j
         l1 = 0.0j  # (log of power factor)' pieces handled additively
         l2 = 0.0j
         if self.pow_sign and n:
             k = self.pow_sign * n
-            v = cmath.exp(k * cmath.log(self.pow_const * z))
+            v = xp.exp(k * xp.log(self.pow_const * z))
             l1 = k / z
             l2 = -k / (z * z)
         if self.arg is None:
@@ -107,73 +117,134 @@ class DcheSolution:
     def finite(self) -> bool:
         return self.coeffs.finite
 
-    def __call__(self, z: complex):
+    def __call__(self, z):
         return evaluate(self, z)
 
 
 def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     """Value and two derivatives of the solution at z.
 
-    Terms are summed until three consecutive terms fall below the
-    truncation floor relative to the running maximum.  w(z) and its two
-    derivatives are formed once, and the U ladder is stepped only as far
-    as the sum goes.  A SectorWarning is issued when the member's
-    half-plane condition on Re(B1/z) fails.
+    ``z`` is a scalar, which gives a tuple of builtin complex, or a 1-D
+    numpy array of points, which gives a tuple of complex arrays.  Terms
+    are summed until three consecutive terms fall below the truncation
+    floor relative to the running maximum; in an array each point keeps
+    its own count and leaves the sum at the term where a scalar call
+    would stop.  w(z) and its two derivatives are formed once, and each
+    point's U ladder is stepped only as far as its sum goes.  A
+    SectorWarning is issued (once per call) when the member's half-plane
+    condition on Re(B1/z) fails at some point.
     """
-    z = complex(z)
-    if z == 0:
+    many = isinstance(z, np.ndarray)
+    z = z.astype(complex) if many else complex(z)
+    if many and z.ndim != 1:
+        raise ValueError("evaluate takes a scalar or a 1-D array of points")
+    if (z == 0).any() if many else z == 0:
         raise DomainError("solutions are singular or undefined at z = 0")
     if sol.halfplane_sign:
-        if sol.halfplane_sign * (sol.params.b1 / z).real <= 0:
+        wrong = sol.halfplane_sign * (sol.params.b1 / z).real <= 0
+        if wrong.any() if many else wrong:
             warnings.warn(
                 f"Re(B1/z) is on the wrong side for this member "
                 f"(needs sign {sol.halfplane_sign:+d})",
                 SectorWarning,
             )
-    s0 = s1 = s2 = 0.0j
-    running_max = 0.0
-    small = 0
-    last = 0.0
-    seq = sol.coeffs
-    scheme = sol.scheme
-    if scheme.arg is None:
-        w, ladder = None, repeat(None)
-    else:
-        w = scheme.arg.derivatives(z)
-        ladder = u_ladder(scheme.a0, scheme.b0, scheme.db, w[0], seq.n_min, len(seq.values))
-    for i, (bn, u) in enumerate(zip(seq.values, ladder)):
-        n = seq.n_min + i
-        if bn == 0:
-            continue
-        t0, t1, t2 = scheme.term(n, z, w, u)
-        s0 += bn * t0
-        s1 += bn * t1
-        s2 += bn * t2
-        last = abs(bn * t0)
-        running_max = max(running_max, last)
-        if seq.n_min == 0:
-            if last <= _TRUNC_TOL * running_max:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-    if (
-        not seq.finite
-        and seq.n_min == 0
-        and running_max > 0
-        and last > series_tol * running_max
-    ):
-        raise NoConvergence(
-            f"series tail still at {last / running_max:.2e} of its peak; "
-            "increase n_terms"
-        )
+    s0, s1, s2 = _term_sums(sol, z, many, series_tol)
     p, dp, d2p = sol.gauge.prefactor_derivatives(z)
     return (
         p * s0,
         dp * s0 + p * s1,
         d2p * s0 + 2 * dp * s1 + p * s2,
     )
+
+
+def _term_sums(sol: DcheSolution, z, many: bool, series_tol: float):
+    """Sums of b_n t_n and of its two z-derivatives at z, a scalar or (when
+    ``many``) an array.
+
+    An array point whose sum has stopped leaves the live arrays: its sums
+    go to the output, and its ladder is stepped no further.
+    """
+    seq, scheme = sol.coeffs, sol.scheme
+    xp = np if many else cmath
+    larger = np.maximum if many else max
+    s0 = s1 = s2 = 0.0j
+    peak = last = 0.0
+    small = 0
+    w = ladders = None
+    steps = repeat(None)
+    if scheme.arg is not None:
+        w = scheme.arg.derivatives(z)
+        if many:
+            # w per point in Python arithmetic, as a scalar call forms it:
+            # a numpy product can differ in the last bit, which can flip the
+            # route of a seed's direct U value
+            ladders = [_ladder(scheme, seq, scheme.arg.apply(zi)) for zi in z.tolist()]
+            steps = _in_step(ladders)
+        else:
+            steps = _ladder(scheme, seq, w[0])
+    if many:
+        out = np.zeros((3, len(z)), dtype=complex)
+        if not len(z):
+            return tuple(out)
+        pos = np.arange(len(z))
+        # per-point from the start, as a term free of z (n = 0) is a scalar;
+        # the sums are rebound at each term, never updated in place
+        s0 = s1 = s2 = np.zeros(len(z), dtype=complex)
+        peak = np.zeros(len(z))
+    for i, (bn, u) in enumerate(zip(seq.values, steps)):
+        if bn == 0:
+            continue
+        t0, t1, t2 = scheme.term(seq.n_min + i, z, w, u, xp)
+        c0 = bn * t0
+        s0 = s0 + c0
+        s1 = s1 + bn * t1
+        s2 = s2 + bn * t2
+        last = abs(c0)
+        peak = larger(peak, last)
+        if seq.n_min:
+            continue
+        small = (small + 1) * (last <= _TRUNC_TOL * peak)
+        if not many:
+            if small >= 3:
+                break
+            continue
+        done = small >= 3
+        if done.any():
+            out[:, pos[done]] = s0[done], s1[done], s2[done]
+            keep = ~done
+            if ladders:
+                ladders[:] = compress(ladders, keep.tolist())
+            pos, z, s0, s1, s2, peak, last, small = (
+                x[keep] for x in (pos, z, s0, s1, s2, peak, last, small)
+            )
+            if w is not None:
+                w = tuple(x[keep] if np.ndim(x) else x for x in w)
+            if not len(pos):
+                break
+    if not seq.finite and seq.n_min == 0:
+        live_tail = (peak > 0) & (last > series_tol * peak)
+        if live_tail.any() if many else live_tail:
+            ratio = (last / peak)[live_tail].max() if many else last / peak
+            raise NoConvergence(
+                f"series tail still at {ratio:.2e} of its peak; increase n_terms"
+            )
+    if not many:
+        return s0, s1, s2
+    out[:, pos] = s0, s1, s2
+    return tuple(out)
+
+
+def _ladder(scheme: TermScheme, seq: CoeffSeq, w: complex):
+    """U pairs of every term of ``seq`` at the point where U's argument is w."""
+    return u_ladder(scheme.a0, scheme.b0, scheme.db, w, seq.n_min, len(seq.values))
+
+
+def _in_step(ladders: list):
+    """Step per-point U ladders together: per term, the pair of arrays
+    (U(a, b, w), U(a+1, b+1, w)) over the points.  The caller may drop
+    ladders from the list between terms."""
+    while True:
+        yield np.array([next(ladder) for ladder in ladders]).T
 
 
 def _r2_source(pair_id: int, params: DcheParams):

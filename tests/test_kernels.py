@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from dcheun.core import DcheParams
@@ -201,14 +202,15 @@ def test_whittaker_index_misprint_detected():
 
 
 def test_contour_quad_runs_integrand_once_per_node():
-    # the rule forms (xi - 1)^p itself, so g sees only xi; every node whose
-    # xi rounds to 1.0 shares one evaluation, as does every other xi
+    # the rule forms (xi - 1)^p itself, so g sees only xi, as an array of
+    # distinct nodes per batch; over all batches every node whose xi rounds
+    # to 1.0 shares one evaluation, as does every other xi
     y = 1 + 1j
     nodes = []
 
     def g(xi):
-        nodes.append(xi)
-        return cmath.exp(-y * xi)
+        nodes.extend(xi.tolist())
+        return np.exp(-y * xi)
 
     val = contour_quad(g, -0.5)
     assert abs(val - math.sqrt(math.pi) * cmath.exp(-y) / cmath.sqrt(y)) < 1e-12
@@ -223,17 +225,17 @@ def test_contour_quad_weak_endpoint_singularity(p1, y):
     # Re(p+1) = 0.2 the integrand's mass reaches far into xi - 1 < 1e-16
     p = p1 - 1
     ref = gamma(p1) * cmath.exp(-y) * cmath.exp(-p1 * cmath.log(y))
-    val = contour_quad(lambda xi: cmath.exp(-y * xi), p)
+    val = contour_quad(lambda xi: np.exp(-y * xi), p)
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize(
     "g",
     [
-        lambda xi: 1.0,  # never decays: the window reaches its limit
-        lambda xi: cmath.exp(1j * xi),
-        lambda xi: math.nan,  # non-finite sum
-        lambda xi: math.exp(-xi) if xi < 3.0 else 0.0,  # a jump: no level converges
+        lambda xi: np.ones(len(xi)),  # never decays: the window reaches its limit
+        lambda xi: np.exp(1j * xi),
+        lambda xi: np.full(len(xi), math.nan),  # non-finite sum
+        lambda xi: np.where(xi < 3.0, np.exp(-xi), 0.0),  # a jump: no level converges
     ],
     ids=["constant", "oscillating", "nan", "jump"],
 )
@@ -244,7 +246,7 @@ def test_contour_quad_raises_when_the_rule_fails(g):
 
 def test_quadrature_results_are_builtin_complex():
     # numpy scalars would leak into JSON output and comparisons
-    assert type(contour_quad(lambda xi: math.exp(-xi), 0.0)) is complex
+    assert type(contour_quad(lambda xi: np.exp(-xi), 0.0)) is complex
     kw = dict(alpha=0.7, beta=1.2, y=1.5)
     assert type(appendix_integral("A1", **kw)) is complex
     assert type(appendix_integral("A2", kappa=0.1, lam=0.2, mu=0.8, a=1.5)) is complex

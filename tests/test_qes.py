@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dcheun.qes
 from dcheun.core import DcheParams, normal_form
 from dcheun.errors import (
     DegenerateError,
@@ -16,6 +17,8 @@ from dcheun.errors import (
 )
 from dcheun.qes import (
     QesProblem,
+    _energy_rows,
+    _series_pair_id,
     eigenfunction,
     infinite_spectrum,
     map_radial,
@@ -26,6 +29,7 @@ from dcheun.qes import (
     regularity_check,
     schrodinger_residual,
 )
+from dcheun.recurrence import _tridiag_matrix
 
 from conftest import fd_schrodinger_spectrum
 
@@ -152,6 +156,67 @@ def test_non_terminating_roots_fail_matching():
         infinite_spectrum(QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.3), (-3.0, 3.0))
     with pytest.raises(NoRoots):
         infinite_spectrum(QesProblem("SECOND_TYPE", B=2.0, s=0.5), (-3.0, 8.0))
+
+
+def test_complex_characteristic_roots_are_not_tested_as_levels(monkeypatch):
+    # at B = 3.14, s = 2.5 the sinh-forced search reaches complex roots; the
+    # real part of a complex root is no root, so it must not cost an
+    # eigenfunction attempt
+    roots, tested = [], []
+    real_root, real_efn = dcheun.qes.char_root, dcheun.qes.eigenfunction
+
+    def recording_root(*args, **kw):
+        root = real_root(*args, **kw)
+        roots.append(root.x)
+        return root
+
+    def counting_efn(problem, energy, *args, **kw):
+        tested.append(energy)
+        return real_efn(problem, energy, *args, **kw)
+
+    monkeypatch.setattr(dcheun.qes, "char_root", recording_root)
+    monkeypatch.setattr(dcheun.qes, "eigenfunction", counting_efn)
+    with pytest.raises(NoRoots):
+        infinite_spectrum(QesProblem("SECOND_TYPE", B=3.14, s=2.5), (-20.0, 20.0))
+    complex_roots = [x for x in roots if abs(x.imag) > 1e-8 * max(1.0, abs(x))]
+    assert complex_roots
+    assert len(tested) == len(roots) - len(complex_roots)
+    assert not any(abs(e - x.real) <= 1e-12 * max(1.0, abs(x)) for e in tested for x in complex_roots)
+
+
+@pytest.mark.parametrize("prob", [QesProblem("DOUBLE_MORSE", B=2.3, C=0.4, s=1.5),
+                                  QesProblem("SECOND_TYPE", B=1.7, s=1.3)])
+def test_seed_matrix_is_real(prob):
+    # real entries give a real matrix, so the seed eigensolve takes the real
+    # LAPACK routine; its eigenvalues are those of the complex solve
+    m = _tridiag_matrix(_energy_rows(prob, _series_pair_id(prob)), 80)
+    assert m.dtype == np.float64
+    real, cplx = np.linalg.eigvals(m), np.linalg.eigvals(m.astype(complex))
+    for a, b in ((real, cplx), (cplx, real)):
+        assert max(np.min(np.abs(b - v)) / max(1.0, abs(v)) for v in a) < 1e-12
+
+
+def pointwise_residual(efn, grid):
+    res = [efn.psi(float(u)) for u in grid]
+    worst = max(abs(d2 + (efn.energy - potential(efn.problem, float(u))) * v)
+                for u, (v, _, d2) in zip(grid, res))
+    return worst / max(abs(v) for v, _, _ in res)
+
+
+@pytest.mark.parametrize("prob,energy,kw", [
+    (QesProblem("DOUBLE_MORSE", B=2.0, C=0.4, s=1.5), None, {}),
+    (QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.5), -1.25, {"parity": "EVEN"}),
+    # no level: the matched pieces disagree, but psi is still the matched one
+    (QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.3), -0.7442, {"mismatch_tol": 1e9}),
+], ids=["finite", "parity", "matched"])
+def test_schrodinger_residual_matches_pointwise(prob, energy, kw):
+    if energy is None:
+        energy = qes_spectrum(prob).energies[1].real
+    efn = eigenfunction(prob, energy, **kw)
+    assert efn.finite == ("mismatch_tol" not in kw)
+    grid = np.linspace(-6, 6, 61)
+    whole = schrodinger_residual(efn, grid)
+    assert abs(whole - pointwise_residual(efn, grid)) <= 1e-12 * max(1.0, whole)
 
 
 def test_second_type_quasi_polynomials_not_regular():

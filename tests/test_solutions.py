@@ -144,39 +144,45 @@ def test_finite_series_n_agreement(rng):
         assert max(abs(r - mean) for r in ratios) / abs(mean) < 1e-8
 
 
+def coulomb_nu_pairs(rng, pair_id: int, attempts: int = 12):
+    """(params, pair) of two-sided Coulomb pairs at characteristic roots
+    off the denominator lattice, for up to ``attempts`` draws."""
+    for _ in range(attempts):
+        p = draw_params(rng, b2_range=(0.4, 1.2))
+
+        def fac(nu, p=p):
+            return coulomb_nu_coeffs(pair_id, p, nu)
+
+        # quadratic start: the diagonal dominates both tails
+        guesses = np.roots([1.0, 1.0, (p.b2 / 2) * (1 - p.b2 / 2) + p.b3])
+        try:
+            root = char_root(fac, guesses[0] + 0.1j)
+        except Exception:
+            continue
+        # spurious roots sit on the denominator lattice n + nu + off = 0
+        lattice_gap = min(
+            abs(root.x + n + off)
+            for n in range(-4, 5)
+            for off in (0.0, 0.5, -0.5, 1.0)
+        )
+        if lattice_gap < 1e-4:
+            continue
+        try:
+            yield p, build_pair_coulomb_nu(pair_id, p, root.x, window=40)
+        except Exception:
+            continue
+
+
 def test_coulomb_nu_pair_residuals(rng):
     for pair_id in (1, 2):
         found = 0
-        attempts = 0
-        while found < 2 and attempts < 12:
-            attempts += 1
-            p = draw_params(rng, b2_range=(0.4, 1.2))
-
-            def fac(nu, p=p, pair_id=pair_id):
-                return coulomb_nu_coeffs(pair_id, p, nu)
-
-            # quadratic start: the diagonal dominates both tails
-            guesses = np.roots([1.0, 1.0, (p.b2 / 2) * (1 - p.b2 / 2) + p.b3])
-            try:
-                root = char_root(fac, guesses[0] + 0.1j)
-            except Exception:
-                continue
-            # spurious roots sit on the denominator lattice n + nu + off = 0
-            lattice_gap = min(
-                abs(root.x + n + off)
-                for n in range(-4, 5)
-                for off in (0.0, 0.5, -0.5, 1.0)
-            )
-            if lattice_gap < 1e-4:
-                continue
-            try:
-                pair = build_pair_coulomb_nu(pair_id, p, root.x, window=40)
-            except Exception:
-                continue
+        for p, pair in coulomb_nu_pairs(rng, pair_id):
             for member in pair:
                 for z in sample_points(rng, member, 3):
                     assert rel_residual(p, member, z) < 1e-8, (pair_id, z)
             found += 1
+            if found == 2:
+                break
         assert found >= 1, pair_id
 
 
@@ -221,6 +227,8 @@ def test_short_series_raises_on_a_live_tail(rng):
     for member in build_pair_power(1, p, 4):
         with pytest.raises(NoConvergence):
             member(1.0)
+        with pytest.raises(NoConvergence):
+            member(np.array([1.0, 1.4 + 0.2j]))
 
 
 def test_coulomb_form_selection():
@@ -334,6 +342,12 @@ def test_two_direct_u_calls_per_series_point(build, monkeypatch):
             u_inf(z)
         assert len(seen) == 2 == len(set(seen))  # one seed: U(a, b) and U(a+1, b+1)
         assert rel_residual(p, u_inf, z) < 1e-10
+    zs = np.array([1.2 + 0.3j, 0.7 - 0.9j, 2.1 + 0.1j])
+    seen.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        u_inf(zs)
+    assert len(seen) == 2 * len(zs) == len(set(seen))
 
 
 def _direct_u_ladder(a0, b0, db, w, n_lo, count):
@@ -362,3 +376,98 @@ def test_coulomb_ladder_where_b_minus_a_vanishes(pair_id, b2, ie, monkeypatch):
         for z, g, w in zip(pts, gs, ws):
             for gk, wk in zip(g, w):
                 assert abs(gk - wk) <= 1e-10 * abs(wk), (member.variant, z)
+
+
+def family_pair(rng, family: str, pair_id: int, finite: bool):
+    """(params, pair) of one family at a fresh draw: a terminating series
+    when ``finite``, else a tuned minimal one."""
+    if family == "coulomb_nu":
+        return next(coulomb_nu_pairs(rng, pair_id))
+    if finite:
+        p = finite_power_params(rng, pair_id, 3)
+    elif pair_id >= 5:
+        p = draw_params(rng, b2_range=(0.0, 1.5))
+        flip = tune_b3(pair_id - 4, DcheParams(p.b1, p.b2, p.b3, -p.omega, -p.eta))
+        p = p.with_b3(flip.b3)
+    else:
+        p = tune_b3(pair_id, draw_params(rng, b2_range=(0.0, 1.5)))
+    if family == "r3":
+        return p, r3_family(pair_id - 4, p)
+    build = build_pair_power if family == "power" else build_pair_coulomb
+    return p, build(pair_id, p)
+
+
+def residual_scale_error(member, zs, got):
+    """Worst distance of an array call's triples from the pointwise loop,
+    relative to the residual scale max(|f|, |z f'|, |z^2 f''|) at each point."""
+    worst = 0.0
+    for k, z in enumerate(zs):
+        want = member(complex(z))
+        scale = max(abs(want[j]) * abs(z) ** j for j in range(3))
+        worst = max(worst, max(abs(got[j][k] - want[j]) * abs(z) ** j for j in range(3)) / scale)
+    return worst
+
+
+FAMILY_CASES = (
+    [("power", i, f) for i in (1, 2, 3, 4) for f in (False, True)]
+    + [("r3", i, f) for i in (5, 6, 7, 8) for f in (False, True)]
+    + [("coulomb", i, f) for i in (1, 2, 3, 4) for f in (False, True)]
+    + [("coulomb_nu", i, False) for i in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("family,pair_id,finite", FAMILY_CASES)
+def test_array_call_matches_pointwise(family, pair_id, finite, rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p, pair = family_pair(rng, family, pair_id, finite)
+    for member in pair:
+        assert member.finite == finite
+        zs = np.array(sample_points(rng, member, 24))
+        got = member(zs)
+        assert all(isinstance(x, np.ndarray) and x.shape == zs.shape for x in got)
+        assert residual_scale_error(member, zs, got) <= (1e-13 if finite else 1e-10)
+        assert max(rel_residual(p, member, z) for z in zs) < 1e-8
+
+
+def test_array_points_stopping_at_different_terms(rng, monkeypatch):
+    # pair 1's member at infinity sums powers of 1/z: far points leave the
+    # sum many terms before near ones, and must leave it where a scalar
+    # call stops
+    p = tune_b3(1, draw_params(rng, b2_range=(0.3, 1.2)))
+    u_inf, _ = build_pair_power(1, p)
+    zs = np.array([0.6 + 0.2j, 1.3 - 0.4j, 4.0 + 1.0j, 25.0 - 3.0j])
+    live, real_term = [], dcheun.solutions.TermScheme.term
+
+    def counting_term(self, n, z, *args):
+        live.append(len(z) if isinstance(z, np.ndarray) else 1)
+        return real_term(self, n, z, *args)
+
+    monkeypatch.setattr(dcheun.solutions.TermScheme, "term", counting_term)
+    got = u_inf(zs)
+    assert len(set(live)) == len(zs)  # each point left at its own term
+    assert residual_scale_error(u_inf, zs, got) <= 1e-13
+
+
+def test_array_call_domain_and_sector(rng):
+    p = tune_b3(1, draw_params(rng))
+    u_inf, u_zero = build_pair_power(1, p)
+    with pytest.raises(DomainError):
+        u_inf(np.array([1.1, 0.0, 0.8j]))
+    z = p.b1 / abs(p.b1) ** 2  # Re(B1/z) = |B1|^2 > 0: the right side
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u_zero(np.array([z, 1.5 * z]))
+        assert not caught
+        u_zero(np.array([z, -z, -2 * z]))
+    assert [w.category for w in caught] == [SectorWarning]
+
+
+def test_scalar_call_returns_builtin_complex(rng):
+    p = tune_b3(3, draw_params(rng, b2_range=(0.3, 1.2)))
+    for member in build_pair_power(3, p) + build_pair_coulomb(3, p):
+        for z in (1.1, np.float64(0.9), 1.2 - 0.3j):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = member(z)
+            assert isinstance(out, tuple) and all(type(x) is complex for x in out)
