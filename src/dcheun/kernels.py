@@ -7,16 +7,23 @@ checks the adjoint-operator identity with exact derivatives, performs the
 transform quadrature, monitors the boundary ('integrated') terms, and
 verifies the closed-form integrals the derivations rest on.
 
+A kernel kind is described once, by its sign (+1 for K1, -1 for K2) and
+its power exponent: the half-plane and parameter conditions, the
+contour variable and the predicted boundary decay all follow from those
+two.  The transform's integrand (``_integrand``) is written once too:
+``transform`` integrates it, and ``verify_boundary_terms`` multiplies it
+by the bilinear concomitant at its sample points.
+
 Integrands over (1, inf) are numpy functions of the array of quadrature
 nodes: ``transform`` evaluates the infinity member on each batch of nodes
-in one call, while the A2, A3 and Whittaker integrands call U once per
-distinct node.
+in one call, and the boundary terms on all their sample points in one
+call, while the A2, A3 and Whittaker integrands call U once per distinct
+node.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,6 +35,10 @@ from .quadrature import exp_sinh
 from .specialfn import gamma, hyp_u, whittaker_w
 
 _BRANCH_TOL = 1e-12
+_QUAD_TOL = 1e-12  # exp-sinh tolerance, relative to the sum of |terms|
+_RATIO_TOL = 1e-6  # allowed relative spread of the transform ratios
+# (z, t) points of the adjoint-identity check
+_ADJOINT_GRID = [(1.0 + 0.2 * i, 1.1 + 0.2 * j) for i in range(3) for j in range(3)]
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,9 @@ class KernelSpec:
     kind K2: K = e^{i w (z+t) - B1/t} t^(B2-2) (zeta - 1)^(-B2/2 - i eta),
     zeta = 2 i w z t / B1; valid for Re(B2/2 + i eta - 1) < 0, Re(B1/z) < 0.
     Contour endpoints are fixed at xi (or zeta) = 1 and infinity.
+
+    Both conditions read Re(power_exponent + 1) > 0 and sign Re(B1/z) > 0,
+    and the contour variable is -sign 2 i w z t / B1.
     """
 
     kind: str
@@ -50,6 +64,11 @@ class KernelSpec:
         self.params.require_nondegenerate()
 
     @property
+    def sign(self) -> int:
+        """+1 for K1, -1 for K2: the side of Re(B1/z) where the kernel holds."""
+        return 1 if self.kind == "K1" else -1
+
+    @property
     def power_exponent(self) -> complex:
         p = self.params
         if self.kind == "K1":
@@ -57,18 +76,13 @@ class KernelSpec:
         return -p.b2 / 2 - p.i_eta
 
     def contour_variable(self, z: complex, t: complex) -> complex:
-        s = -1 if self.kind == "K1" else 1
-        return s * 2j * self.params.omega * z * t / self.params.b1
+        return -self.sign * 2j * self.params.omega * z * t / self.params.b1
 
     def param_condition(self) -> bool:
-        p = self.params
-        if self.kind == "K1":
-            return (p.b2 / 2 - p.i_eta - 1).real > 0
-        return (p.b2 / 2 + p.i_eta - 1).real < 0
+        return (self.power_exponent + 1).real > 0
 
     def z_condition(self, z: complex) -> bool:
-        sign = 1 if self.kind == "K1" else -1
-        return sign * (self.params.b1 / z).real > 0
+        return self.sign * (self.params.b1 / z).real > 0
 
 
 def kernel_value(spec: KernelSpec, z, t, exponent_shift: complex = 0.0) -> complex:
@@ -118,8 +132,8 @@ def _log_derivatives(spec: KernelSpec, z: complex, t: complex, exponent_shift: c
     return lz, lzz, lt, ltt
 
 
-def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -> float:
-    """Max relative defect of the adjoint identity on a (z, t) grid.
+def verify_adjoint(spec: KernelSpec, exponent_shift: complex = 0.0) -> float:
+    """Max relative defect of the adjoint identity on a 3 x 3 (z, t) grid.
 
     The kernel must satisfy L_z{K} = Lbar_t{K} with
     L_z = z^2 d2/dz2 + (B1 + B2 z) d/dz + (w^2 z^2 - 2 w eta z) and
@@ -128,10 +142,8 @@ def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -
     Derivatives are exact: K' = K (log K)' and K'' = K ((log K)'^2 + (log K)'').
     """
     p = spec.params
-    if grid is None:
-        grid = [(1.0 + 0.2 * i, 1.1 + 0.2 * j) for i in range(3) for j in range(3)]
     worst = 0.0
-    for z0, t0 in grid:
+    for z0, t0 in _ADJOINT_GRID:
         z0, t0 = complex(z0), complex(t0)
         k = kernel_value(spec, z0, t0, exponent_shift)
         lz, lzz, lt, ltt = _log_derivatives(spec, z0, t0, exponent_shift)
@@ -150,7 +162,7 @@ def verify_adjoint(spec: KernelSpec, grid=None, exponent_shift: complex = 0.0) -
     return worst
 
 
-def contour_quad(g: Callable[[np.ndarray], np.ndarray], p: complex, tol: float = 1e-12) -> complex:
+def contour_quad(g: Callable[[np.ndarray], np.ndarray], p: complex) -> complex:
     """Integral of (xi - 1)^p g(xi) over (1, inf), Re p > -1, by the exp-sinh rule.
 
     The rule places its nodes at xi - 1 = exp(pi/2 sinh t) and forms the
@@ -161,7 +173,7 @@ def contour_quad(g: Callable[[np.ndarray], np.ndarray], p: complex, tol: float =
     float xi once: every node next to the endpoint whose xi rounds to 1.0
     shares one evaluation.
 
-    Raises QuadratureError when the rule does not converge to ``tol``
+    Raises QuadratureError when the rule does not converge to 1e-12
     times the sum of |terms| (see ``quadrature.exp_sinh``).
     """
     at_xi: dict = {}
@@ -173,25 +185,22 @@ def contour_quad(g: Callable[[np.ndarray], np.ndarray], p: complex, tol: float =
             at_xi.update(zip(fresh, np.asarray(g(np.array(fresh)), dtype=complex).tolist()))
         return np.array([at_xi[x] for x in xi.tolist()], dtype=complex)[back]
 
-    value, _ = exp_sinh(on_nodes, p, tol)
+    value, _ = exp_sinh(on_nodes, p, _QUAD_TOL)
     return complex(value)
 
 
-def transform(spec: KernelSpec, u_inf, z: complex, exponent_shift: complex = 0.0) -> complex:
-    """Transform integral of the infinity member, evaluated at z.
+def _integrand(spec: KernelSpec, u_inf, z: complex):
+    """(pref, g): the transform at z is pref * int_1^inf (xi-1)^pw g(xi) dxi.
 
-    K1 route: e^{i w z + B1/z} z^(1-B2) *
-        int_1^inf e^{-B1 xi/(2z)} (xi-1)^(B2/2 - i eta - 2) U(-B1 xi/(2 i w z)) dxi
-    K2 route: e^{i w z} z^(1-B2) *
-        int_1^inf e^{B1 zeta/(2z) - 2 i w z/zeta} zeta^(B2-2)
-                  (zeta-1)^(-B2/2 - i eta) U(B1 zeta/(2 i w z)) dzeta
+    K1: pref = e^{i w z + B1/z} z^(1-B2),
+        g(xi) = e^{-B1 xi/(2z)} U(-B1 xi/(2 i w z))
+    K2: pref = e^{i w z} z^(1-B2),
+        g(zeta) = e^{B1 zeta/(2z) - 2 i w z/zeta} zeta^(B2-2) U(B1 zeta/(2 i w z))
 
-    The infinity member is evaluated on each batch of quadrature nodes in
-    one call.
+    ``g`` takes a float array of contour points and evaluates the
+    infinity member U on all of them in one call.
     """
     p = spec.params
-    z = complex(z)
-    pw = spec.power_exponent + exponent_shift
     if spec.kind == "K1":
         def g(xi: np.ndarray) -> np.ndarray:
             t = -p.b1 * xi / (2j * p.omega * z)
@@ -208,7 +217,15 @@ def transform(spec: KernelSpec, u_inf, z: complex, exponent_shift: complex = 0.0
             )
 
         pref = cmath.exp(1j * p.omega * z) * cmath.exp((1 - p.b2) * cmath.log(z))
-    return pref * contour_quad(g, pw)
+    return pref, g
+
+
+def transform(spec: KernelSpec, u_inf, z: complex, exponent_shift: complex = 0.0) -> complex:
+    """Transform integral of the infinity member, evaluated at z (see
+    ``_integrand``); the member is evaluated on each batch of quadrature
+    nodes in one call."""
+    pref, g = _integrand(spec, u_inf, complex(z))
+    return pref * contour_quad(g, spec.power_exponent + exponent_shift)
 
 
 @dataclass
@@ -220,11 +237,11 @@ class RatioReport:
 
 
 def verify_transform(
-    pair, spec: KernelSpec, z_samples: Sequence[complex],
-    tol: float = 1e-6, exponent_shift: complex = 0.0,
+    pair, spec: KernelSpec, z_samples: Sequence[complex], exponent_shift: complex = 0.0,
 ) -> RatioReport:
     """Check that the transformed infinity member is proportional to the
-    zero member with a z-independent ratio.
+    zero member with a z-independent ratio: passed when the ratios spread
+    by less than 1e-6 relative to their mean.
 
     Raises ConditionError when the parameter or half-plane preconditions
     are violated (the boundary terms would not vanish).
@@ -247,7 +264,7 @@ def verify_transform(
         ratios.append(num / den)
     mean = sum(ratios) / len(ratios)
     dev = max(abs(r - mean) for r in ratios) / max(abs(mean), 1e-300)
-    return RatioReport(ratios=ratios, mean=mean, max_rel_dev=dev, passed=dev < tol)
+    return RatioReport(ratios=ratios, mean=mean, max_rel_dev=dev, passed=dev < _RATIO_TOL)
 
 
 @dataclass
@@ -264,73 +281,58 @@ class BoundaryReport:
     vanishes_at_inf: bool
 
 
-def _boundary_term(spec: KernelSpec, u_inf, z: complex, xi: float) -> complex:
-    p = spec.params
-    if spec.kind == "K1":
-        t = -p.b1 * xi / (2j * p.omega * z)
-        return (
-            (p.b1**2 * xi / (2j * p.omega * z * z) + p.b1)
-            * cmath.exp((2 - p.b2) * cmath.log(z))
-            * cmath.exp((p.b2 / 2 - p.i_eta - 1) * cmath.log(xi - 1))
-            * u_inf(t)[0]
-            * cmath.exp(1j * p.omega * z + p.b1 / z - p.b1 * xi / (2 * z))
-        )
-    t = p.b1 * xi / (2j * p.omega * z)
-    return (
-        (p.b1**2 * xi / (2j * p.omega * z * z) - p.b1)
-        * cmath.exp((p.b2 - 2) * cmath.log(p.b1 * xi / (2j * p.omega * z)))
-        * cmath.exp((1 - p.b2 / 2 - p.i_eta) * cmath.log(xi - 1))
-        * u_inf(t)[0]
-        * cmath.exp(1j * p.omega * z + p.b1 * xi / (2 * z) - 2j * p.omega * z / xi)
-    )
-
-
 def verify_boundary_terms(pair, spec: KernelSpec, z: complex) -> BoundaryReport:
     """Decay of the integrated terms toward both contour endpoints.
 
+    The integrated term at xi is the bilinear concomitant
+    (B1^2 xi/(2 i w z^2) + sign B1) z (xi - 1)^(pw+1) pref g(xi), with
+    (pref, g) the transform's integrand and pw the kernel's power
+    exponent; for K2 it carries the constant (B1/(2 i w))^(B2-2), the
+    Jacobian of zeta -> t.  The infinity member is evaluated on all sample
+    points in one call.
+
     Near the finite endpoint the magnitude must scale as
-    eps^Re(B2/2 -+ i eta - 1); toward infinity it must decay
-    exponentially at the rate |Re(B1/(2z))| fixed by the dominant
-    exponential.  Divergence (a negative fitted slope at the finite end,
-    or growth at the far end) is reported, not raised.
+    eps^Re(pw + 1); toward infinity it must decay exponentially at the
+    rate sign Re(B1/z): the kernel and the e^{i omega t} factor of the
+    infinity member each contribute e^{-B1 xi/(2z)}.  Divergence (a
+    negative fitted slope at the finite end, or growth at the far end) is
+    reported, not raised.
     """
     u_inf, _ = pair
     z = complex(z)
     p = spec.params
+    pref, g = _integrand(spec, u_inf, z)
     # Deep enough that the power law alone sets the slope: the other
     # factors can vanish near xi ~ 1.01, where a sample would read ~100x low.
     eps_values = [10.0 ** (-k) for k in (4, 5, 6, 7, 8)]
-    mags = [abs(_boundary_term(spec, u_inf, z, 1 + e)) for e in eps_values]
-    logs = np.log(np.maximum(mags, 1e-300))
-    slope_eps = float(np.polyfit(np.log(eps_values), logs, 1)[0])
-    # The kernel and the e^{i omega t} factor of the infinity member each
-    # contribute e^{-B1 xi/(2z)}, so the total decay rate is Re(B1/z).
-    if spec.kind == "K1":
-        pred_eps = (p.b2 / 2 - p.i_eta - 1).real
-        pred_rate = (p.b1 / z).real
-    else:
-        pred_eps = (1 - p.b2 / 2 - p.i_eta).real
-        pred_rate = -(p.b1 / z).real
     r_values = [10.0, 14.0, 18.0, 22.0, 26.0, 30.0]
-    r_logmags = [
-        math.log(max(abs(_boundary_term(spec, u_inf, z, r)), 1e-300)) for r in r_values
-    ]
+    xi = np.array([1 + e for e in eps_values] + r_values)
+    pw1 = spec.power_exponent + 1
+    jacobian = 1.0 if spec.kind == "K1" else cmath.exp(
+        (p.b2 - 2) * cmath.log(p.b1 / (2j * p.omega))
+    )
+    terms = (
+        (p.b1**2 * xi / (2j * p.omega * z * z) + spec.sign * p.b1)
+        * z * np.exp(pw1 * np.log(xi - 1)) * (pref * jacobian) * g(xi)
+    )
+    logs = np.log(np.maximum(np.abs(terms), 1e-300))
+    n_eps = len(eps_values)
+    slope_eps = float(np.polyfit(np.log(eps_values), logs[:n_eps], 1)[0])
+    mags, r_logmags = np.abs(terms[:n_eps]).tolist(), logs[n_eps:].tolist()
     # fit log|PQ| = -rate*xi + q*log(xi) + c; the log term absorbs the
     # algebraic prefactors so the exponential rate is read off cleanly
-    design = np.column_stack(
-        [r_values, np.log(r_values), np.ones(len(r_values))]
-    )
+    design = np.column_stack([r_values, np.log(r_values), np.ones(len(r_values))])
     coef, *_ = np.linalg.lstsq(design, np.array(r_logmags), rcond=None)
     rate = -float(coef[0])
     return BoundaryReport(
         eps_values=eps_values,
         eps_magnitudes=mags,
         fitted_eps_slope=slope_eps,
-        predicted_eps_slope=pred_eps,
+        predicted_eps_slope=pw1.real,
         r_values=r_values,
         r_log_magnitudes=r_logmags,
         fitted_decay_rate=rate,
-        predicted_decay_rate=pred_rate,
+        predicted_decay_rate=spec.sign * (p.b1 / z).real,
         vanishes_at_1=slope_eps > 0 and mags[-1] < mags[0],
         vanishes_at_inf=rate > 0 and r_logmags[-1] < r_logmags[0],
     )

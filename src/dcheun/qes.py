@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DcheParams, GaugeMap, VarMap
+from .core import DcheParams
 from .errors import (
     DcheunError,
     DegenerateError,
@@ -43,6 +43,14 @@ _HALF_INT_TOL = 1e-9
 # a characteristic root with |Im E| above this (relative to max(1, |E|)) is
 # complex: its real part is no root, so it is not tested as a level
 _COMPLEX_ROOT_TOL = 1e-8
+# the continued-fraction search: rows of the seed matrix, root tolerance
+_CF_DEPTH = 80
+_CF_ROOT_TOL = 1e-10
+# u at which the two series pieces of a non-terminating eigenfunction meet
+_MATCH_U = 0.0
+# regularity: psi at u = +-_TAIL_U must be below _TAIL_FRAC of its interior maximum
+_TAIL_U = 10.0
+_TAIL_FRAC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,54 +97,32 @@ def potential(problem: QesProblem, u):
     return (B**2 / 4) * xp.sinh(u) ** 2 - B * (s + 0.5) * xp.sinh(u)
 
 
-def _psi_gauge(params: DcheParams) -> GaugeMap:
-    # U(z) = gauge.transport(psi) with z = e^u: U = z^{(1-B2)/2} e^{B1/(2z)} psi(ln z)
-    return GaugeMap(
-        exp_inv=params.b1 / 2, power=(1 - params.b2) / 2, varmap=VarMap("log", 1.0)
-    )
+def problem_params(problem: QesProblem, energy: complex = 0.0) -> DcheParams:
+    """Equation parameters of the potential at an energy, with z = e^u.
 
-
-def map_double_morse(B: float, C: float, s: float, energy: complex = 0.0):
-    """Equation parameters and gauge for the asymmetric cosh-forced potential.
-
-    (B1, B2, B3, omega, i eta) =
-    (B/2, 1+C-2s, E+B^2/8+s^2-sC, iB/4, -C/2-1/2-s), with z = e^u and
-    psi(u) = z^{(B2-1)/2} e^{-B1/(2z)} U(z).  B3 is affine in the energy.
+    DOUBLE_MORSE (asymmetric cosh-forced):
+    (B1, B2, B3, omega, i eta) = (B/2, 1+C-2s, E+B^2/8+s^2-sC, iB/4, -C/2-1/2-s).
+    SECOND_TYPE (sinh-forced):
+    (B1, B2, B3, i omega, i eta) = (-B/2, 1-2s, E+B^2/8+s^2, -B/4, -1/2-s).
+    Both share psi(u) = z^{(B2-1)/2} e^{-B1/(2z)} U(z).  B3 is affine in
+    the energy.
     """
-    if B <= 0:
-        raise DomainError("B must be positive")
-    params = DcheParams(
-        b1=B / 2,
-        b2=1 + C - 2 * s,
-        b3=energy + B**2 / 8 + s**2 - s * C,
-        omega=1j * B / 4,
-        eta=(-C / 2 - 0.5 - s) / 1j,
-    )
-    return params, _psi_gauge(params)
-
-
-def map_second_type(B: float, s: float, energy: complex = 0.0):
-    """Equation parameters and gauge for the sinh-forced potential.
-
-    (B1, B2, B3, i omega, i eta) = (-B/2, 1-2s, E+B^2/8+s^2, -B/4, -1/2-s),
-    with z = e^u and the same gauge as the cosh-forced case.
-    """
-    if B <= 0:
-        raise DomainError("B must be positive")
-    params = DcheParams(
+    B, C, s = problem.B, problem.C, problem.s
+    if problem.kind == "DOUBLE_MORSE":
+        return DcheParams(
+            b1=B / 2,
+            b2=1 + C - 2 * s,
+            b3=energy + B**2 / 8 + s**2 - s * C,
+            omega=1j * B / 4,
+            eta=(-C / 2 - 0.5 - s) / 1j,
+        )
+    return DcheParams(
         b1=-B / 2,
         b2=1 - 2 * s,
         b3=energy + B**2 / 8 + s**2,
         omega=(-B / 4) / 1j,
         eta=(-0.5 - s) / 1j,
     )
-    return params, _psi_gauge(params)
-
-
-def problem_params(problem: QesProblem, energy: complex = 0.0) -> DcheParams:
-    if problem.kind == "DOUBLE_MORSE":
-        return map_double_morse(problem.B, problem.C, problem.s, energy)[0]
-    return map_second_type(problem.B, problem.s, energy)[0]
 
 
 @dataclass
@@ -201,18 +187,15 @@ def energy_coeff_factory(problem: QesProblem) -> Callable[[complex], ThreeTermCo
     return factory
 
 
-def infinite_spectrum(
-    problem: QesProblem, bracket, depth: int = 80, tol: float = 1e-10
-) -> SpectrumResult:
+def infinite_spectrum(problem: QesProblem, bracket) -> SpectrumResult:
     """Energies from roots of the characteristic continued fraction.
 
     Starting guesses are the distinct real parts, inside ``bracket =
     (lo, hi)``, of the eigenvalues of the regular pair's energy matrix
-    truncated at ``depth`` rows.  Each is polished by secant iteration
-    on the characteristic value; complex roots are dropped, and the real
+    truncated at 80 rows.  Each is polished by secant iteration on the
+    characteristic value to 1e-10; complex roots are dropped, and the real
     roots validated by an eigenfunction whose two series pieces match are
-    kept.  Raises
-    NoRoots when the bracket contains none.
+    kept.  Raises NoRoots when the bracket contains none.
 
     A characteristic root only guarantees that both series of the pair
     converge and solve the equation; it does not by itself make them
@@ -229,12 +212,12 @@ def infinite_spectrum(
         raise ValueError("bracket must satisfy lo < hi")
     factory = energy_coeff_factory(problem)
     rows = _energy_rows(problem, _series_pair_id(problem))
-    eigs = np.linalg.eigvals(_tridiag_matrix(rows, depth))
+    eigs = np.linalg.eigvals(_tridiag_matrix(rows, _CF_DEPTH))
     seeds = sorted({v.real for v in eigs if lo <= v.real <= hi})
     roots = []
     for seed in seeds:
         try:
-            r = char_root(factory, complex(seed), tol=tol)
+            r = char_root(factory, complex(seed), tol=_CF_ROOT_TOL)
         except (DcheunError, ArithmeticError):
             continue
         if abs(r.x.imag) > _COMPLEX_ROOT_TOL * max(1.0, abs(r.x)):
@@ -256,7 +239,7 @@ def infinite_spectrum(
     return SpectrumResult(
         energies=sorted(roots),
         method="CONTINUED_FRACTION",
-        certificates={"char_depth": depth},
+        certificates={"char_depth": _CF_DEPTH},
     )
 
 
@@ -343,17 +326,15 @@ def eigenfunction(
     energy: complex,
     pair_choice: Optional[int] = None,
     parity: Optional[str] = None,
-    match_u: float = 0.0,
     mismatch_tol: float = 1e-6,
-    n_terms: int = 60,
 ) -> Eigenfunction:
     """Wavefunction at a candidate energy, with an eigenvalue diagnostic.
 
     Terminating series give a single globally valid quasi-polynomial;
     the diagnostic is the relative residual of the closing recurrence
     row.  Non-terminating series are pieced from the member convergent
-    at large e^u (u >= match_u) and the member convergent at small e^u
-    (u <= match_u), each scaled to unit value at the matching point; the
+    at large e^u (u >= 0) and the member convergent at small e^u
+    (u <= 0), each scaled to unit value at the matching point; the
     diagnostic is the relative derivative mismatch there.  A diagnostic
     above ``mismatch_tol`` raises MatchFailure (the energy is not an
     eigenvalue).  ``parity`` EVEN/ODD builds the symmetric/antisymmetric
@@ -363,7 +344,7 @@ def eigenfunction(
         pair_choice = _series_pair_id(problem)
     params = problem_params(problem, energy)
     tc = power_coeffs(pair_choice, params)
-    u_inf, u_zero = build_pair_power(pair_choice, params, n_terms)
+    u_inf, u_zero = build_pair_power(pair_choice, params)
     seq = u_inf.coeffs
     if seq.finite:
         # closing row: alpha_{N-1} b_N vanishes only at an eigenvalue
@@ -401,34 +382,34 @@ def eigenfunction(
         raise DomainError("parity combinations require a terminating series")
     p_inf = _member_to_psi(params, u_inf)
     p_zero = _member_to_psi(params, u_zero)
-    vi, di, _ = p_inf(match_u)
-    vz, dz, _ = p_zero(match_u)
+    vi, di, _ = p_inf(_MATCH_U)
+    vz, dz, _ = p_zero(_MATCH_U)
     if vi == 0 or vz == 0:
         raise MatchFailure("a series piece vanishes at the matching point")
     di, dz = di / vi, dz / vz
     mismatch = abs(di - dz) / max(abs(di), abs(dz), 1.0)
     if mismatch > mismatch_tol:
         raise MatchFailure(
-            f"derivative mismatch {mismatch:.3e} at u* = {match_u}: "
+            f"derivative mismatch {mismatch:.3e} at u* = {_MATCH_U}: "
             f"energy {energy} is not an eigenvalue"
         )
 
     def psi(u):
         if not isinstance(u, np.ndarray):
-            if u >= match_u:
+            if u >= _MATCH_U:
                 v, d1, d2 = p_inf(u)
                 return v / vi, d1 / vi, d2 / vi
             v, d1, d2 = p_zero(u)
             return v / vz, d1 / vz, d2 / vz
         out = np.empty((3, len(u)), dtype=complex)
-        for side, piece, scale in ((u >= match_u, p_inf, vi), (u < match_u, p_zero, vz)):
+        for side, piece, scale in ((u >= _MATCH_U, p_inf, vi), (u < _MATCH_U, p_zero, vz)):
             if side.any():
                 out[:, side] = np.array(piece(u[side])) / scale
         return tuple(out)
 
     return Eigenfunction(
         psi=psi, problem=problem, energy=energy, pair_id=pair_choice,
-        finite=False, mismatch=mismatch, match_u=match_u,
+        finite=False, mismatch=mismatch, match_u=_MATCH_U,
     )
 
 
@@ -456,15 +437,12 @@ class RegularityReport:
     predicted_rate: float
 
 
-def regularity_check(
-    psi: Callable, problem: QesProblem, u_max: float = 10.0,
-    tail_frac: float = 1e-6,
-) -> RegularityReport:
-    """Decay of |psi| toward u = +-u_max.
+def regularity_check(psi: Callable, problem: QesProblem) -> RegularityReport:
+    """Decay of |psi| toward u = +-10.
 
-    Passes when both tails fall below ``tail_frac`` of the interior
-    maximum on [-6, 6] and the measured log-decrements have the sign of
-    the dominant prefactor rate (B/2) sinh(u) cosh-well decay.
+    Passes when both tails fall below 1e-6 of the interior maximum on
+    [-6, 6] and the measured log-decrements have the sign of the
+    dominant prefactor rate (B/2) sinh(u) cosh-well decay.
     """
 
     def val(u):
@@ -475,16 +453,16 @@ def regularity_check(
         return abs(out[0]) if isinstance(out, tuple) else abs(out)
 
     interior = max(val(u) for u in np.linspace(-6.0, 6.0, 49))
-    tp, tm = val(u_max), val(-u_max)
+    tp, tm = val(_TAIL_U), val(-_TAIL_U)
     # log-decrement over the last half-unit at each end; a tail that
     # underflows to zero counts as decaying
-    rp = math.log(max(val(u_max - 0.5), 1e-300)) - math.log(max(tp, 1e-300))
-    rm = math.log(max(val(-u_max + 0.5), 1e-300)) - math.log(max(tm, 1e-300))
-    pred = (problem.B / 2) * (math.cosh(u_max) - math.cosh(u_max - 0.5))
+    rp = math.log(max(val(_TAIL_U - 0.5), 1e-300)) - math.log(max(tp, 1e-300))
+    rm = math.log(max(val(-_TAIL_U + 0.5), 1e-300)) - math.log(max(tm, 1e-300))
+    pred = (problem.B / 2) * (math.cosh(_TAIL_U) - math.cosh(_TAIL_U - 0.5))
     passed = (
         interior > 0
-        and tp < tail_frac * interior
-        and tm < tail_frac * interior
+        and tp < _TAIL_FRAC * interior
+        and tm < _TAIL_FRAC * interior
         and (rp > 0 or tp == 0.0)
         and (rm > 0 or tm == 0.0)
     )

@@ -47,6 +47,9 @@ from .recurrence import (
 from .specialfn import u_ladder
 
 _TRUNC_TOL = 1e-16
+# a one-sided sum whose last term is still above this fraction of its peak
+# term has not converged
+_SERIES_TOL = 1e-10
 _DEN_TOL = 1e-9
 
 
@@ -121,7 +124,7 @@ class DcheSolution:
         return evaluate(self, z)
 
 
-def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
+def evaluate(sol: DcheSolution, z):
     """Value and two derivatives of the solution at z.
 
     ``z`` is a scalar, which gives a tuple of builtin complex, or a 1-D
@@ -130,9 +133,10 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     floor relative to the running maximum; in an array each point keeps
     its own count and leaves the sum at the term where a scalar call
     would stop.  w(z) and its two derivatives are formed once, and each
-    point's U ladder is stepped only as far as its sum goes.  A
-    SectorWarning is issued (once per call) when the member's half-plane
-    condition on Re(B1/z) fails at some point.
+    point's U ladder is stepped only as far as its sum goes.  A one-sided
+    infinite sum whose last term is still above 1e-10 of its peak raises
+    NoConvergence.  A SectorWarning is issued (once per call) when the
+    member's half-plane condition on Re(B1/z) fails at some point.
     """
     many = isinstance(z, np.ndarray)
     z = z.astype(complex) if many else complex(z)
@@ -148,7 +152,7 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
                 f"(needs sign {sol.halfplane_sign:+d})",
                 SectorWarning,
             )
-    s0, s1, s2 = _term_sums(sol, z, many, series_tol)
+    s0, s1, s2 = _term_sums(sol, z, many)
     p, dp, d2p = sol.gauge.prefactor_derivatives(z)
     return (
         p * s0,
@@ -157,7 +161,7 @@ def evaluate(sol: DcheSolution, z, series_tol: float = 1e-10):
     )
 
 
-def _term_sums(sol: DcheSolution, z, many: bool, series_tol: float):
+def _term_sums(sol: DcheSolution, z, many: bool):
     """Sums of b_n t_n and of its two z-derivatives at z, a scalar or (when
     ``many``) an array.
 
@@ -222,7 +226,7 @@ def _term_sums(sol: DcheSolution, z, many: bool, series_tol: float):
             if not len(pos):
                 break
     if not seq.finite and seq.n_min == 0:
-        live_tail = (peak > 0) & (last > series_tol * peak)
+        live_tail = (peak > 0) & (last > _SERIES_TOL * peak)
         if live_tail.any() if many else live_tail:
             ratio = (last / peak)[live_tail].max() if many else last / peak
             raise NoConvergence(
@@ -422,12 +426,14 @@ def _check_nu_denominators(nu: complex, window: int):
                 )
 
 
-def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 24):
+def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 40):
     """Two-sided Coulomb pair with phase parameter nu.
 
     ``nu`` should solve the two-tail characteristic equation; a residual
-    check is performed and a warning issued if it fails.  Pair 2 is the
-    r2 image of pair 1.
+    check is performed and a warning issued if it fails.  The sum runs
+    over n = -window .. window.  Nothing checks that the end terms are
+    small: at 24 terms a side, pairs at |z| ~ 1 can miss 1e-8 in the
+    equation residual with no warning.  Pair 2 is the r2 image of pair 1.
     """
     if pair_id == 2:
         return _rule_image(build_pair_coulomb_nu, "r2", 1, 2, params, nu, window)

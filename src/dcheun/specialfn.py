@@ -57,6 +57,9 @@ _LAPLACE_TOL = 1e-12
 # a db = 2 ladder seeds the term where |b - a| is below this: a backward
 # step there divides by b - a, and loses about log10(1 / |b - a|) digits
 _LADDER_GAP = 0.1
+# distance from 0, -1, -2, ... at which a Gamma pole or a polynomial U is taken
+_POLE_TOL = 1e-12
+_KUMMER_MAX_TERMS = 700
 
 
 def _as_complex(x) -> complex:
@@ -66,8 +69,10 @@ def _as_complex(x) -> complex:
     return z
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
-    return abs(z.imag) <= tol and z.real <= 0.5 and abs(z.real - round(z.real)) <= tol
+def _is_nonpositive_integer(z: complex) -> bool:
+    return (
+        abs(z.imag) <= _POLE_TOL and z.real <= 0.5 and abs(z.real - round(z.real)) <= _POLE_TOL
+    )
 
 
 @cache
@@ -121,7 +126,7 @@ def kummer_transform(a, b, y):
     return 1 + a - b, 2 - b, 1 - b
 
 
-def _kummer_m(a: complex, b: complex, z: complex, max_terms: int = 700):
+def _kummer_m(a: complex, b: complex, z: complex):
     """Regular Kummer series M(a,b,z); returns (sum, rounding bound / eps).
 
     Term k is a running product of k factors and carries about k
@@ -134,7 +139,7 @@ def _kummer_m(a: complex, b: complex, z: complex, max_terms: int = 700):
     term = 1.0 + 0.0j
     bound = 1.0
     k_min = max(3.0, -b.real)
-    for k in range(max_terms):
+    for k in range(_KUMMER_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1))
         s += term
         t = abs(term)

@@ -161,6 +161,94 @@ def test_boundary_slope_not_fooled_by_a_nearby_zero(b1, b2, omega, eta, z):
     assert abs(br.fitted_eps_slope - br.predicted_eps_slope) < 0.05 * br.predicted_eps_slope
 
 
+def _bare_member(t):
+    """A stand-in infinity member: the predictions do not depend on it."""
+    return (np.exp(-t),)
+
+
+def test_kernel_kind_conditions(rng):
+    # each condition and prediction, written out per kind, against the
+    # one description (sign, power exponent) both kinds share
+    outcomes = set()
+    for _ in range(40):
+        p = DcheParams(*(rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2) for _ in range(5)))
+        z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
+        t = rng.uniform(0.5, 2) + 1j * rng.uniform(-1, 1)
+        ie = p.i_eta
+        written = {
+            "K1": ((p.b2 / 2 - ie - 1).real > 0, (p.b1 / z).real > 0,
+                   -2j * p.omega * z * t / p.b1, (p.b2 / 2 - ie - 1).real, (p.b1 / z).real),
+            "K2": ((p.b2 / 2 + ie - 1).real < 0, (p.b1 / z).real < 0,
+                   2j * p.omega * z * t / p.b1, (1 - p.b2 / 2 - ie).real, -(p.b1 / z).real),
+        }
+        for kind, (par, zc, xi, slope, rate) in written.items():
+            spec = KernelSpec(kind, p)
+            assert spec.param_condition() == par and spec.z_condition(z) == zc
+            assert spec.contour_variable(z, t) == xi
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                br = verify_boundary_terms((_bare_member, None), spec, z)
+            assert abs(br.predicted_eps_slope - slope) <= 1e-12 * max(1.0, abs(slope))
+            assert br.predicted_decay_rate == rate
+            outcomes.add((kind, par, zc))
+    assert len(outcomes) == 8  # every verdict of both conditions was drawn
+
+
+def concomitant_oracle(spec, u_inf, z, xi):
+    """The integrated term at xi, written out per kind with scalar member calls."""
+    p = spec.params
+    if spec.kind == "K1":
+        t = -p.b1 * xi / (2j * p.omega * z)
+        return (
+            (p.b1**2 * xi / (2j * p.omega * z * z) + p.b1)
+            * cmath.exp((2 - p.b2) * cmath.log(z))
+            * cmath.exp((p.b2 / 2 - p.i_eta - 1) * cmath.log(xi - 1))
+            * u_inf(t)[0]
+            * cmath.exp(1j * p.omega * z + p.b1 / z - p.b1 * xi / (2 * z))
+        )
+    t = p.b1 * xi / (2j * p.omega * z)
+    return (
+        (p.b1**2 * xi / (2j * p.omega * z * z) - p.b1)
+        * cmath.exp((p.b2 - 2) * cmath.log(t))
+        * cmath.exp((1 - p.b2 / 2 - p.i_eta) * cmath.log(xi - 1))
+        * u_inf(t)[0]
+        * cmath.exp(1j * p.omega * z + p.b1 * xi / (2 * z) - 2j * p.omega * z / xi)
+    )
+
+
+@pytest.mark.parametrize("which,r3", [("K1", False), ("K2", False), ("K1", True), ("K2", True)],
+                         ids=["K1", "K2", "K1_r3", "K2_r3"])
+def test_boundary_terms_match_the_bilinear_concomitant(which, r3, k1_setup, k2_setup):
+    pp, pair, spec = k1_setup if which == "K1" else k2_setup
+    z = 1.1 if which == "K1" else -1.1
+    if r3:
+        flip = DcheParams(pp.b1, pp.b2, pp.b3, -pp.omega, -pp.eta)
+        pair = r3_family(1 if which == "K1" else 2, flip)
+        spec = r3_companion(KernelSpec(which, flip))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        br = verify_boundary_terms(pair, spec, z)
+        xis = [1 + e for e in br.eps_values] + br.r_values
+        want = [abs(concomitant_oracle(spec, pair[0], z, xi)) for xi in xis]
+    got = br.eps_magnitudes + [math.exp(v) for v in br.r_log_magnitudes]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-11 * w
+
+
+def test_boundary_terms_evaluate_the_member_once(k1_setup):
+    _, (u_inf, u_zero), spec = k1_setup
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return u_inf(t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verify_boundary_terms((counted, u_zero), spec, 1.1)
+    assert sizes == [11]
+
+
 def test_appendix_a1_quadrature_vs_closed_form(rng):
     for _ in range(20):
         kw = dict(

@@ -186,6 +186,23 @@ def test_coulomb_nu_pair_residuals(rng):
         assert found >= 1, pair_id
 
 
+def test_coulomb_nu_default_window_meets_the_residual():
+    # a pair-2 draw (from coulomb_nu_pairs, rng seed 0) whose sums need
+    # more than 24 terms a side: at z = -1.5 the member at zero reads 3e-7
+    p = DcheParams(
+        0.5991237450861121 + 0.34131727961238323j, 0.45335200701368117,
+        -0.6227600847834993 - 0.1394025361043334j, 1.46606208078407 + 0.06223184222845701j,
+        -0.4822708136581355 - 0.5166485718113101j,
+    )
+    nu = -0.9250224758652087 + 0.20909265244203842j
+    zs = (-1.0, -1.5, -1.2 - 0.5j)  # Re(B1/z) < 0, the zero member's half-plane
+    for member in build_pair_coulomb_nu(2, p, nu):
+        for z in zs:
+            assert rel_residual(p, member, z) < 1e-8, z
+    _, short = build_pair_coulomb_nu(2, p, nu, window=24)
+    assert rel_residual(p, short, -1.5) > 1e-8
+
+
 def test_sector_warning_on_wrong_halfplane(rng):
     # the member at zero needs s*Re(B1/z) > 0: s = +1 for pairs 1 and 3,
     # and pairs 2 and 4, the r2 images (B1 -> -B1), need s = -1
@@ -222,7 +239,7 @@ def test_untuned_series_is_not_a_solution(rng):
 
 def test_short_series_raises_on_a_live_tail(rng):
     # four terms of a non-terminating pair leave the tail at z = 1 far
-    # above series_tol of its peak: evaluate must refuse the truncated sum
+    # above 1e-10 of its peak: evaluate must refuse the truncated sum
     p = tune_b3(1, draw_params(rng))
     for member in build_pair_power(1, p, 4):
         with pytest.raises(NoConvergence):
