@@ -243,7 +243,7 @@ def _suite_rules(rng: random.Random, tol: float, checks: list) -> None:
     )
 
 
-def _suite_kernels(rng: random.Random, tol: float, checks: list, fault: float) -> None:
+def _suite_kernels(rng: random.Random, checks: list, fault: float) -> None:
     from .kernels import KernelSpec, verify_adjoint
 
     for kind, eta_lo in (("K1", 0.6), ("K2", 1.6)):
@@ -338,7 +338,7 @@ def cmd_verify(args) -> int:
     if args.suite == "rules":
         _suite_rules(rng, args.tol, checks)
     elif args.suite == "kernels":
-        _suite_kernels(rng, args.tol, checks, args.inject_kernel_fault)
+        _suite_kernels(rng, checks, args.inject_kernel_fault)
     elif args.suite == "integrals":
         _suite_integrals(rng, args.tol, checks)
     elif args.suite == "pairs":
@@ -392,7 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True,
                     choices=("rules", "kernels", "integrals", "pairs"))
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=1e-8)
+    pv.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="pass threshold of the rules, integrals and pairs suites "
+        "(the kernels suite has a fixed 1e-5 adjoint bound)",
+    )
     pv.add_argument(
         "--inject-kernel-fault", type=float, default=0.0,
         help="perturb the kernel power exponent (negative control)",

@@ -34,12 +34,17 @@ from .errors import (
     NoRoots,
     NotQes,
 )
-from .recurrence import ThreeTermCoeffs, _tridiag_matrix, char_root, tridiag_eigen
+from .recurrence import (
+    ThreeTermCoeffs,
+    _tridiag_matrix,
+    char_root,
+    finite_series_condition,
+    tridiag_eigen,
+)
 from .solutions import build_pair_power, power_coeffs
 
 KINDS = ("DOUBLE_MORSE", "SECOND_TYPE")
 
-_HALF_INT_TOL = 1e-9
 # a characteristic root with |Im E| above this (relative to max(1, |E|)) is
 # complex: its real part is no root, so it is not tested as a level
 _COMPLEX_ROOT_TOL = 1e-8
@@ -84,8 +89,9 @@ class QesProblem:
 
     @property
     def qes_flag(self) -> bool:
-        """True when s is a nonnegative integer or half-integer."""
-        return abs(2 * self.s - round(2 * self.s)) <= _HALF_INT_TOL
+        """True when s is a nonnegative integer or half-integer: the series
+        of pair 1 terminates, after N = 1 + 2s terms for both potentials."""
+        return finite_series_condition(1, problem_params(self)) is not None
 
 
 def potential(problem: QesProblem, u):
@@ -154,9 +160,9 @@ def quasi_polynomial_spectrum(problem: QesProblem, route: str = "PAIR1") -> Spec
     """
     if route not in ("PAIR1", "PAIR3"):
         raise ValueError("route must be PAIR1 or PAIR3")
-    if not problem.qes_flag:
+    size = finite_series_condition(1, problem_params(problem))
+    if size is None:
         raise NotQes(f"s = {problem.s} is not an integer or half-integer")
-    size = int(round(2 * problem.s)) + 1
     res = tridiag_eigen(_energy_rows(problem, 1 if route == "PAIR1" else 3), size)
     certs = {"offdiag_products": res.products, "certified_real_distinct": res.certified}
     energies = [v.real if res.certified else v for v in res.values]

@@ -78,18 +78,15 @@ class CoeffSeq:
         return out
 
 
-def generate(coeffs: ThreeTermCoeffs, n_max: int, finite_n: Optional[int] = None) -> CoeffSeq:
-    """Forward generation of a one-sided sequence with b_0 = 1.
+def generate(coeffs: ThreeTermCoeffs, n_max: int) -> CoeffSeq:
+    """Forward generation of b_0 = 1, ..., b_{n_max} of a one-sided sequence.
 
     Row 0 reads alpha(0) b_1 + beta(0) b_0 = 0; later rows are the full
-    three-term rows.  If ``finite_n`` is given the series is a terminating
-    one: exactly N = finite_n coefficients (0 <= n <= N-1) are produced
-    and the finite flag is set.
+    three-term rows.  The sequence is not marked finite: a caller whose
+    series terminates sets the flag.
     """
     if coeffs.two_sided:
         raise GenerationError("use generate_two_sided for two-sided coefficients")
-    if finite_n is not None:
-        n_max = finite_n - 1
     if n_max < 0:
         raise GenerationError("n_max must be >= 0")
     b = [1.0 + 0.0j]
@@ -99,7 +96,7 @@ def generate(coeffs: ThreeTermCoeffs, n_max: int, finite_n: Optional[int] = None
             raise GenerationError(f"alpha({n}) = 0: cannot advance the recurrence")
         prev = coeffs.gamma(n) * b[n - 1] if n else 0.0
         b.append(-(coeffs.beta(n) * b[n] + prev) / an)
-    return CoeffSeq(values=b, finite=finite_n is not None)
+    return CoeffSeq(values=b)
 
 
 def _minimal_ratios(num, diag, off, count: int) -> list:

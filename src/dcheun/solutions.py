@@ -9,6 +9,10 @@ pair is built from one coefficient table in a phase parameter nu and one
 layout.  The two-sided pairs take nu from the two-tail characteristic
 equation.  The one-sided pairs 1 and 3 sit at nu = i*eta and
 nu = B2/2 - 1, where alpha(-1) = 0 cuts the series off below n = 0.
+Every table denominator is n + nu + c with c in {-1/2, 0, 1, 3/2}, so
+one rule on 2 nu decides every pole (``_check_phase``): the two-sided
+pairs refuse 2 nu on the integers, the one-sided pairs refuse 2 nu <= -2
+and take the exact limits of their one 0/0 entry at nu = 0 and -1/2.
 Each solution evaluates its value and two derivatives; pairs share a
 single coefficient sequence.  At each point the U factors of all terms
 come from one ``specialfn.u_ladder``: two direct U values at a seed term
@@ -320,7 +324,7 @@ def _one_sided_seq(tc: ThreeTermCoeffs, pair_id: int, params: DcheParams, n_term
     """Finite series when the pair terminates, else the minimal solution."""
     n_fin = finite_series_condition(pair_id, params)
     if n_fin is not None:
-        return generate(tc, n_fin - 1, finite_n=n_fin)
+        return replace(generate(tc, n_fin - 1), finite=True)
     return generate_minimal(tc, n_terms)
 
 
@@ -416,14 +420,24 @@ def coulomb_nu_coeffs(pair_id: int, params: DcheParams, nu) -> ThreeTermCoeffs:
     return replace(_coulomb_table(params, nu), two_sided=True)
 
 
-def _check_nu_denominators(nu: complex, window: int):
-    for n in range(-window - 1, window + 2):
-        for off in (0.0, 0.5, -0.5, 1.0):
-            if abs(n + nu + off) < _DEN_TOL:
-                raise DenominatorError(
-                    f"coefficient denominator n + nu + {off} vanishes at n = {n}; "
-                    "shift nu to the companion characteristic root"
-                )
+def _check_phase(nu: complex, one_sided: bool, remedy: str) -> Optional[int]:
+    """k = 2 nu when nu lies within ``_DEN_TOL`` of the half-integer lattice,
+    else None.
+
+    Every table denominator is n + nu + c with c in {-1/2, 0, 1, 3/2}, so
+    on the lattice some row has a zero one.  A two-sided sum uses every
+    row and raises DenominatorError.  A one-sided sum uses rows n >= 0
+    (gamma from n = 1): it raises for k <= -2 and returns k for k >= -1,
+    where beta(0) (k = 0) or gamma(1) (k = -1) is 0/0 and has a limit.
+    """
+    k = round(2 * nu.real) if cmath.isfinite(nu) else None
+    if k is None or abs(nu - k / 2) >= _DEN_TOL:
+        return None
+    if one_sided and k >= -1:
+        return k
+    raise DenominatorError(
+        f"nu = {k}/2 makes a coefficient denominator n + nu + c vanish; {remedy}"
+    )
 
 
 def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 40):
@@ -433,13 +447,15 @@ def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 40
     check is performed and a warning issued if it fails.  The sum runs
     over n = -window .. window.  Nothing checks that the end terms are
     small: at 24 terms a side, pairs at |z| ~ 1 can miss 1e-8 in the
-    equation residual with no warning.  Pair 2 is the r2 image of pair 1.
+    equation residual with no warning.  A nu with 2 nu within 2e-9 of an
+    integer raises DenominatorError, at any window: the tails' continued
+    fractions run on past it.  Pair 2 is the r2 image of pair 1.
     """
     if pair_id == 2:
         return _rule_image(build_pair_coulomb_nu, "r2", 1, 2, params, nu, window)
     nu = complex(nu)
     tc = coulomb_nu_coeffs(pair_id, params, nu)
-    _check_nu_denominators(nu, window)
+    _check_phase(nu, False, "shift nu to the companion characteristic root")
     cv = char_value(tc)
     if abs(cv) > 1e-6 * max(1.0, abs(tc.beta(0))):
         warnings.warn(
@@ -456,71 +472,31 @@ def _coulomb_phase(pair_id: int, params: DcheParams) -> complex:
     return params.i_eta if pair_id == 1 else params.b2 / 2 - 1
 
 
-def _near_value(x: complex, v: float) -> bool:
-    return abs(x - v) < _DEN_TOL
-
-
-def coulomb_form(pair_id: int, params: DcheParams) -> str:
-    """Recurrence form for the truncated Coulomb pair at these parameters.
-
-    FORM_R3A marks nu = 0 and FORM_R2A nu = -1/2, where one table entry
-    is 0/0: pairs 1-2 switch on i*eta, pairs 3-4 on B2 (pairs 2 and 4 at
-    the r2 parameters, B2 -> 4 - B2).  Parameter values that make a
-    denominator vanish without a finite limit raise DenominatorError with
-    the applicable remedy.
-    """
-    return _coulomb_form(pair_id, *_r2_source(pair_id, params))
-
-
-def _coulomb_form(pair_id: int, source: int, params: DcheParams) -> str:
-    """Form of truncated pair ``pair_id``, whose rows are those of pair
-    ``source`` (1 or 3) at ``params``."""
-    if source == 1:
-        ie = params.i_eta
-        if _near_value(ie, -0.5):
-            return "FORM_R2A"
-        if _near_value(ie, 0.0):
-            return "FORM_R3A"
-        # other negative integers / half-integers leave 0 in a denominator
-        two = 2 * ie
-        if abs(two.imag) < _DEN_TOL and two.real < -1 and _near_value(two, round(two.real)):
-            raise DenominatorError(
-                "i*eta is a negative integer or half-integer below -1/2; apply "
-                "the sign-reversal rule (eta, omega) -> (-eta, -omega) first"
-            )
-        return "FORM_R1A"
-    b2 = params.b2
-    if _near_value(b2, 1.0):
-        return "FORM_R2A"
-    if _near_value(b2, 2.0):
-        return "FORM_R3A"
-    two = 2 * b2
-    if abs(two.imag) < _DEN_TOL and two.real <= 0.5 and _near_value(two, round(two.real)):
-        raise DenominatorError(
-            f"B2 makes a denominator vanish; use the companion pair {4 if pair_id == 3 else 3}"
-        )
-    return "FORM_R1A"
-
-
 def coulomb_coeffs(pair_id: int, params: DcheParams) -> ThreeTermCoeffs:
     """One-sided coefficient closures of the truncated Coulomb pair.
 
     The rows of the shared table at the pair's phase nu; pairs 2 and 4
-    take those of pairs 1 and 3 at the r2 parameters.  At nu = 0
-    (FORM_R3A) beta(0) and at nu = -1/2 (FORM_R2A) gamma(1) are 0/0 in
-    the table; they are replaced by their exact limits along the pair's
-    line in nu.
+    take those of pairs 1 and 3 at the r2 parameters.  At nu = 0 beta(0)
+    and at nu = -1/2 gamma(1) are 0/0 in the table; they are replaced by
+    their exact limits along the pair's line in nu.  A phase at 2 nu <= -2
+    on the half-integer lattice raises DenominatorError with the pair's
+    remedy.
     """
     source, params = _r2_source(pair_id, params)
-    form = _coulomb_form(pair_id, source, params)
-    tc = _coulomb_table(params, _coulomb_phase(source, params))
+    if source == 1:
+        remedy = "apply the sign-reversal rule (eta, omega) -> (-eta, -omega) first"
+    else:
+        remedy = f"use the companion pair {4 if pair_id == 3 else 3}"
+    nu = _coulomb_phase(source, params)
+    k = _check_phase(nu, True, remedy)
+    tc = _coulomb_table(params, nu)
     b2, b3 = params.b2, params.b3
     iwb = 1j * params.omega * params.b1
-    if form == "FORM_R3A":
+    if k == 0:
         lim = -iwb * (b2 / 2 - 1) if source == 1 else params.eta * params.omega * params.b1
         beta0 = b3 + (1 - b2 / 2) * (b2 / 2) + lim
         return replace(tc, beta=lambda n: beta0 if n == 0 else tc.beta(n))
-    if form == "FORM_R2A":
+    if k == -1:
         gamma1 = 2 * iwb * (b2 / 2 - 0.5 if source == 1 else 0.5 + params.i_eta)
         return replace(tc, gamma=lambda n: gamma1 if n == 1 else tc.gamma(n))
     return tc
@@ -534,7 +510,7 @@ def build_pair_coulomb(pair_id: int, params: DcheParams, n_terms: int = 60):
     images of pairs 1 and 3.
     """
     if pair_id in (2, 4):
-        coulomb_form(pair_id, params)  # a vanishing denominator names this pair's companion
+        coulomb_coeffs(pair_id, params)  # a vanishing denominator names this pair's companion
         return _rule_image(build_pair_coulomb, "r2", pair_id - 1, pair_id, params, n_terms)
     seq = _one_sided_seq(coulomb_coeffs(pair_id, params), pair_id, params, n_terms)
     u_inf, u_zero = _coulomb_pair(params, _coulomb_phase(pair_id, params), seq)

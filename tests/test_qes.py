@@ -16,6 +16,7 @@ from dcheun.errors import (
     NotQes,
 )
 from dcheun.qes import (
+    KINDS,
     QesProblem,
     _energy_rows,
     _series_pair_id,
@@ -70,6 +71,23 @@ def test_spectrum_spin_zero_is_origin(rng):
 def test_non_half_integer_s_rejected():
     with pytest.raises(NotQes):
         qes_spectrum(QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.3))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_qes_flag_is_the_termination_condition(kind):
+    # pair 1 terminates after N = 1 + 2s terms for both potentials; the
+    # flag and the size of the algebraic spectrum both read that N
+    C = 0.4 if kind == "DOUBLE_MORSE" else 0.0
+    for s, n in ((0.0, 1), (0.5, 2), (1.5, 4), (2.0, 5), (0.3, None), (1.0 + 1e-7, None)):
+        prob = QesProblem(kind, B=1.7, C=C, s=s)
+        assert prob.qes_flag == (n is not None), s
+        if n is None:
+            with pytest.raises(NotQes):
+                quasi_polynomial_spectrum(prob)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert len(quasi_polynomial_spectrum(prob).energies) == n
 
 
 def test_route_symmetry():

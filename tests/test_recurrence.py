@@ -180,8 +180,8 @@ def test_generate_finite_length():
     coeffs = ThreeTermCoeffs(
         alpha=lambda n: n + 1.0, beta=lambda n: -1.0, gamma=lambda n: 0.1 * n
     )
-    seq = generate(coeffs, 50, finite_n=4)
-    assert seq.finite and len(seq.values) == 4
+    seq = generate(coeffs, 3)
+    assert not seq.finite and len(seq.values) == 4
 
 
 def test_tridiag_eigen_analytic_2x2():

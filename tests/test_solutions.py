@@ -16,7 +16,6 @@ from dcheun.solutions import (
     build_pair_coulomb_nu,
     build_pair_power,
     coulomb_coeffs,
-    coulomb_form,
     coulomb_nu_coeffs,
     power_coeffs,
     r3_family,
@@ -248,32 +247,47 @@ def test_short_series_raises_on_a_live_tail(rng):
             member(np.array([1.0, 1.4 + 0.2j]))
 
 
-def test_coulomb_form_selection():
+def patched_entry(pair_id: int, p: DcheParams):
+    """The 0/0 table entry ('beta0' or 'gamma1') that ``coulomb_coeffs``
+    replaced by its closed-form limit at ``p``, or None."""
+    tc = coulomb_coeffs(pair_id, p)
+    got = {"beta0": tc.beta(0), "gamma1": tc.gamma(1)}
+    hits = [
+        entry for entry, value in got.items()
+        if abs(value - degenerate_limit(pair_id, entry, p))
+        <= 1e-13 * max(1.0, abs(value))
+    ]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def test_coulomb_pole_guard():
     base = dict(b1=1.0, b2=0.7, b3=0.2, omega=0.8)
-    assert coulomb_form(1, DcheParams(eta=0.5j, **base)) == "FORM_R2A"  # i eta = -1/2
-    assert coulomb_form(1, DcheParams(eta=0.0, **base)) == "FORM_R3A"
-    assert coulomb_form(1, DcheParams(eta=0.3, **base)) == "FORM_R1A"
-    with pytest.raises(DenominatorError):
-        coulomb_form(1, DcheParams(eta=1.5j, **base))  # i eta = -3/2
+    assert patched_entry(1, DcheParams(eta=0.5j, **base)) == "gamma1"  # i eta = -1/2
+    assert patched_entry(1, DcheParams(eta=0.0, **base)) == "beta0"
+    assert patched_entry(1, DcheParams(eta=0.3, **base)) is None
+    with pytest.raises(DenominatorError, match="sign-reversal rule"):
+        coulomb_coeffs(1, DcheParams(eta=1.5j, **base))  # i eta = -3/2
     b = dict(b1=1.0, b3=0.2, omega=0.8, eta=0.3)
-    assert coulomb_form(3, DcheParams(b2=1.0, **b)) == "FORM_R2A"
-    assert coulomb_form(3, DcheParams(b2=2.0, **b)) == "FORM_R3A"
-    assert coulomb_form(4, DcheParams(b2=3.0, **b)) == "FORM_R2A"
-    assert coulomb_form(4, DcheParams(b2=2.0, **b)) == "FORM_R3A"
+    assert patched_entry(3, DcheParams(b2=1.0, **b)) == "gamma1"
+    assert patched_entry(3, DcheParams(b2=2.0, **b)) == "beta0"
+    assert patched_entry(4, DcheParams(b2=3.0, **b)) == "gamma1"
+    assert patched_entry(4, DcheParams(b2=2.0, **b)) == "beta0"
     with pytest.raises(DenominatorError, match="pair 4"):
-        coulomb_form(3, DcheParams(b2=0.0, **b))
+        coulomb_coeffs(3, DcheParams(b2=0.0, **b))
     # pair 4 reads its rows off pair 3 at B2 -> 4 - B2 = 0, but its remedy
     # is still its own companion
-    for find in (coulomb_form, build_pair_coulomb):
+    for find in (coulomb_coeffs, build_pair_coulomb):
         with pytest.raises(DenominatorError, match="pair 3"):
             find(4, DcheParams(b2=4.0, **b))
 
 
-def degenerate_limit(pair_id: int, form: str, p: DcheParams) -> complex:
-    """Closed-form limit of the 0/0 table entry: beta(0) for R3A, gamma(1) for R2A."""
+def degenerate_limit(pair_id: int, entry: str, p: DcheParams) -> complex:
+    """Closed-form limit of the 0/0 table entry: beta(0) at nu = 0, gamma(1)
+    at nu = -1/2."""
     iwb = 1j * p.omega * p.b1
     ewb = p.eta * p.omega * p.b1
-    if form == "FORM_R3A":
+    if entry == "beta0":
         lim = {1: -iwb * (p.b2 / 2 - 1), 2: -iwb * (p.b2 / 2 - 1), 3: ewb, 4: -ewb}[pair_id]
         return p.b3 + (1 - p.b2 / 2) * (p.b2 / 2) + lim
     # pairs 2 and 4 take the rows of pairs 1 and 3 at the r2 parameters,
@@ -283,18 +297,8 @@ def degenerate_limit(pair_id: int, form: str, p: DcheParams) -> complex:
     return sign * 2 * iwb * f
 
 
-def degenerate_pair(pair_id: int, form: str, ie: float):
-    """B3-tuned truncated Coulomb pair at a degenerate point, and its coefficients.
-
-    Pairs 1, 2 degenerate at i eta in {0, -1/2}, pairs 3, 4 at the B2 that
-    puts their phase nu at 0 (R3A) or -1/2 (R2A).
-    """
-    if pair_id in (1, 2):
-        p = DcheParams(b1=1.1, b2=0.8, b3=0.4, omega=0.7j, eta=ie / 1j)
-    else:
-        b2 = {"FORM_R3A": 2.0, "FORM_R2A": 1.0 if pair_id == 3 else 3.0}[form]
-        p = DcheParams(b1=1.1, b2=b2, b3=0.4, omega=0.7j, eta=0.3 + 0.2j)
-    assert coulomb_form(pair_id, p) == form
+def tuned_coulomb_pair(pair_id: int, p: DcheParams):
+    """B3-tuned truncated Coulomb pair at ``p``, and its coefficients."""
 
     def fac(b3):
         return coulomb_coeffs(pair_id, p.with_b3(b3))
@@ -303,33 +307,121 @@ def degenerate_pair(pair_id: int, form: str, ie: float):
     return pt, fac(pt.b3), build_pair_coulomb(pair_id, pt)
 
 
-DEGENERATE_POINTS = [(0.0, "FORM_R3A"), (-0.5, "FORM_R2A")]
+def degenerate_pair(pair_id: int, entry: str, ie: float):
+    """B3-tuned truncated Coulomb pair at a degenerate point, and its coefficients.
+
+    Pairs 1, 2 degenerate at i eta in {0, -1/2}, pairs 3, 4 at the B2 that
+    puts their phase nu at 0 (beta(0) patched) or -1/2 (gamma(1) patched).
+    """
+    if pair_id in (1, 2):
+        p = DcheParams(b1=1.1, b2=0.8, b3=0.4, omega=0.7j, eta=ie / 1j)
+    else:
+        b2 = {"beta0": 2.0, "gamma1": 1.0 if pair_id == 3 else 3.0}[entry]
+        p = DcheParams(b1=1.1, b2=b2, b3=0.4, omega=0.7j, eta=0.3 + 0.2j)
+    assert patched_entry(pair_id, p) == entry
+    return tuned_coulomb_pair(pair_id, p)
 
 
-@pytest.mark.parametrize("ie,form", DEGENERATE_POINTS)
-def test_degenerate_point_projection(ie, form, rng):
+DEGENERATE_POINTS = [(0.0, "beta0"), (-0.5, "gamma1")]
+
+
+@pytest.mark.parametrize("ie,entry", DEGENERATE_POINTS)
+def test_degenerate_point_projection(ie, entry, rng):
     # at the degenerate points one table entry is 0/0: it must equal its
     # closed-form limit, and the pair must still be a genuine solution
     for pair_id in (1, 2, 3, 4):
-        pt, tc, pair = degenerate_pair(pair_id, form, ie)
-        entry = tc.beta(0) if form == "FORM_R3A" else tc.gamma(1)
-        expected = degenerate_limit(pair_id, form, pt)
-        assert abs(entry - expected) <= 1e-13 * max(1.0, abs(expected)), (pair_id, entry, expected)
+        pt, tc, pair = degenerate_pair(pair_id, entry, ie)
+        got = tc.beta(0) if entry == "beta0" else tc.gamma(1)
+        expected = degenerate_limit(pair_id, entry, pt)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), (pair_id, got, expected)
         if pair_id == 2:
             continue  # see test_degenerate_pair_2_residual
         for member in pair:
             for z in sample_points(rng, member, 3):
-                assert rel_residual(pt, member, z) < 1e-8, (pair_id, form, member.variant)
+                assert rel_residual(pt, member, z) < 1e-8, (pair_id, entry, member.variant)
 
 
-@pytest.mark.parametrize("ie,form", DEGENERATE_POINTS)
-def test_degenerate_pair_2_residual(ie, form):
+@pytest.mark.parametrize("ie,entry", DEGENERATE_POINTS)
+def test_degenerate_pair_2_residual(ie, entry):
     # at i eta in {0, -1/2} every term of the pair-2 member at infinity has
     # integer b, where U takes its Laplace integral
-    pt, _, (u_inf, _) = degenerate_pair(2, form, ie)
+    pt, _, (u_inf, _) = degenerate_pair(2, entry, ie)
     for t in (-0.6, -0.3, 0.0, 0.3, 0.6):
         z = 0.65 * cmath.exp(1j * t)
-        assert rel_residual(pt, u_inf, z) < 1e-8, (form, z)
+        assert rel_residual(pt, u_inf, z) < 1e-8, (entry, z)
+
+
+@pytest.mark.parametrize("pair_id,b2", [(3, -0.5), (3, -1.5), (3, -2.5), (4, 4.5), (4, 5.5)])
+def test_quarter_integer_phase_is_not_a_pole(pair_id, b2, rng):
+    # nu = B2/2 - 1 (pair 3) or 1 - B2/2 (pair 4) is -5/4, -7/4 or -9/4:
+    # 2 nu is off the integers, so no denominator n + nu + c vanishes
+    p = DcheParams(b1=1.1, b2=b2, b3=0.4, omega=0.7j, eta=0.3 + 0.2j)
+    pt, _, pair = tuned_coulomb_pair(pair_id, p)
+    for member in pair:
+        for z in sample_points(rng, member, 3):
+            assert rel_residual(pt, member, z) < 1e-8, (pair_id, b2, member.variant)
+
+
+@pytest.mark.parametrize("nu", [45.0, -45.0, 44.5])
+def test_two_sided_pole_past_the_window_is_refused(nu):
+    # the tails' continued fractions run past n = +-40 onto the pole
+    p = DcheParams(b1=1.1, b2=0.8, b3=0.4, omega=0.7j, eta=0.3 + 0.2j)
+    with pytest.raises(DenominatorError, match="companion characteristic root"):
+        build_pair_coulomb_nu(1, p, nu, window=40)
+
+
+# every denominator of the Coulomb table is n + nu + c, c in these offsets;
+# one-sided rows: alpha and beta from n = 0, gamma from n = 1
+TABLE_DENOMINATORS = {"alpha": (1.0, 1.5), "beta": (0.0, 1.0), "gamma": (0.0, -0.5)}
+
+
+def vanishing_denominators(nu: complex, one_sided: bool) -> set:
+    """(entry, n, c) of each denominator n + nu + c within 1e-9 of 0 in
+    the rows a sum uses: n >= 0 (gamma n >= 1) one-sided, |n| <= 500
+    two-sided (past the window and the tails' 400 continued-fraction rows)."""
+    found = set()
+    for entry, offsets in TABLE_DENOMINATORS.items():
+        lo = (1 if entry == "gamma" else 0) if one_sided else -500
+        for n in range(lo, 501):
+            found.update((entry, n, c) for c in offsets if abs(n + nu + c) < 1e-9)
+    return found
+
+
+def coulomb_at_phase(pair_id: int, nu: float):
+    """Build the Coulomb pair ``pair_id`` whose table phase is nu: pairs 1-4
+    one-sided (nu = i eta, i eta, B2/2 - 1, 1 - B2/2), 0 the two-sided pair
+    1 at a window of 2, which the lattice below reaches past."""
+    p = DcheParams(b1=1.1, b2=0.7, b3=0.4, omega=0.7j, eta=0.3 + 0.2j)
+    if pair_id == 0:
+        return build_pair_coulomb_nu(1, p, nu, window=2)
+    if pair_id in (1, 2):
+        p = DcheParams(p.b1, p.b2, p.b3, p.omega, nu / 1j)
+    else:
+        p = DcheParams(p.b1, 2 * nu + 2 if pair_id == 3 else 2 - 2 * nu, p.b3, p.omega, p.eta)
+    return build_pair_coulomb(pair_id, p)
+
+
+@pytest.mark.parametrize("pair_id", [0, 1, 2, 3, 4])
+def test_pole_guard_against_brute_force_denominators(pair_id):
+    # the guard refuses exactly the phases where some row's denominator
+    # vanishes, save the one-sided 0/0 entries beta(0) at nu = 0 and
+    # gamma(1) at nu = -1/2, which take their limits.  Offset 7e-10 is
+    # inside the 1e-9 distance in nu but not in 2 nu; 0.25 puts 2 nu
+    # halfway between the integers, where no denominator vanishes
+    for k in range(-8, 9):
+        for off in (0.0, 1e-10, -1e-10, 7e-10, -7e-10, 1e-3, -1e-3, 0.25):
+            nu = k / 2 + off
+            bad = vanishing_denominators(nu, pair_id > 0)
+            if pair_id:
+                bad -= {("beta", 0, 0.0), ("gamma", 1, -0.5)}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if bad:
+                    with pytest.raises(DenominatorError):
+                        coulomb_at_phase(pair_id, nu)
+                    continue
+                pair = coulomb_at_phase(pair_id, nu)
+            assert all(cmath.isfinite(b) for b in pair[0].coeffs.values), (k, off)
 
 
 @pytest.mark.parametrize("build", [build_pair_power, build_pair_coulomb])
