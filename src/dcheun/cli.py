@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import warnings
@@ -30,6 +31,13 @@ from .errors import (
     MatchFailure,
     NoRoots,
     NotQes,
+)
+from .tolerances import (
+    ADJOINT_BOUND,
+    MAGNITUDE_FLOOR,
+    MISPRINT_BOUND,
+    R1_FIXED_POINT_TOL,
+    VERIFY_TOL,
 )
 
 _USAGE_ERRORS = (DomainError, ValueError)
@@ -104,7 +112,7 @@ def cmd_eval(args) -> int:
                 "value": format_complex(value),
                 "d1": format_complex(d1),
                 "d2": format_complex(d2),
-                "residual": abs(res) / max(scale, 1e-300),
+                "residual": abs(res) / max(scale, MAGNITUDE_FLOOR),
                 "warnings": ";".join(sorted({w.category.__name__ for w in caught})),
             }
         )
@@ -212,7 +220,7 @@ def _suite_rules(rng: random.Random, tol: float, checks: list) -> None:
     p0 = DcheParams(2, 2, 5, 1, 0)
     p1, _ = apply_rule("r1", p0)
     fixed = all(
-        abs(getattr(p0, f) - getattr(p1, f)) < 1e-14
+        abs(getattr(p0, f) - getattr(p1, f)) < R1_FIXED_POINT_TOL
         for f in ("b1", "b2", "b3", "omega", "eta")
     )
     checks.append({"check": "r1_fixed_point_2_2_5_1_0", "passed": bool(fixed)})
@@ -237,7 +245,7 @@ def _suite_rules(rng: random.Random, tol: float, checks: list) -> None:
         pt = p.with_b3(root.x - 2 + p.b2)  # invert the rule's B3 shift
         for z in (0.9, 1.4 + 0.3j):
             res, scale = residual_parts(pt, back, z)
-            worst = max(worst, abs(res) / max(scale, 1e-300))
+            worst = max(worst, abs(res) / max(scale, MAGNITUDE_FLOOR))
     checks.append(
         {"check": "r2_covariance_residual", "passed": bool(worst < tol), "value": worst}
     )
@@ -257,10 +265,9 @@ def _suite_kernels(rng: random.Random, checks: list, fault: float) -> None:
                 eta=1j * rng.uniform(eta_lo + 0.6, eta_lo + 1.4),
             )
             worst = max(worst, verify_adjoint(KernelSpec(kind, p), exponent_shift=fault))
-        # exact derivatives leave a rounding-level defect (~1e-15), far below
-        # the fault-injected level (~1e-2), so 1e-5 separates the two cleanly
         checks.append(
-            {"check": f"{kind}_adjoint_identity", "passed": bool(worst < 1e-5), "value": worst}
+            {"check": f"{kind}_adjoint_identity", "passed": bool(worst < ADJOINT_BOUND),
+             "value": worst}
         )
 
 
@@ -297,7 +304,7 @@ def _suite_integrals(rng: random.Random, tol: float, checks: list) -> None:
     good = whittaker_index_check(0.3, 0.2, 0.8, 1.5, corrected=True)
     bad = whittaker_index_check(0.3, 0.2, 0.8, 1.5, corrected=False)
     checks.append(
-        {"check": "whittaker_corrected_index", "passed": bool(good < tol and bad > 1e-3)}
+        {"check": "whittaker_corrected_index", "passed": bool(good < tol and bad > MISPRINT_BOUND)}
     )
 
 
@@ -326,7 +333,7 @@ def _suite_pairs(rng: random.Random, tol: float, checks: list) -> None:
             for member in (u_inf, u_zero):
                 for z in zs:
                     res, scale = residual_parts(pt, member, z)
-                    worst = max(worst, abs(res) / max(scale, 1e-300))
+                    worst = max(worst, abs(res) / max(scale, MAGNITUDE_FLOOR))
         checks.append(
             {"check": f"pair{pair_id}_residual", "passed": bool(worst < tol), "value": worst}
         )
@@ -393,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("rules", "kernels", "integrals", "pairs"))
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument(
-        "--tol", type=float, default=1e-8,
-        help="pass threshold of the rules, integrals and pairs suites "
-        "(the kernels suite has a fixed 1e-5 adjoint bound)",
+        "--tol", type=float, default=VERIFY_TOL,
+        help="pass threshold of the rules, integrals and pairs suites, "
+        f"0 < tol < inf (the kernels suite has a fixed {ADJOINT_BOUND:g} adjoint bound)",
     )
     pv.add_argument(
         "--inject-kernel-fault", type=float, default=0.0,
@@ -413,8 +420,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if getattr(args, "tol", 1.0) <= 0:
+        tol = getattr(args, "tol", 1.0)
+        if tol <= 0:
             raise DomainError("tolerance must be positive")
+        if not tol < math.inf:
+            raise DomainError(f"tolerance must be finite, got {tol!r}")
         return args.func(args)
     except (*_USAGE_ERRORS, DcheunError, ArithmeticError) as e:
         print(json.dumps({"error": str(e), "schema_version": SCHEMA_VERSION}), file=sys.stderr)

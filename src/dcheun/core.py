@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NotDegenerate
-
-_CONSTRAINT_TOL = 1e-10
+from .tolerances import CONSTRAINT_TOL
 
 
 def _c(x) -> complex:
@@ -402,7 +401,7 @@ def special_case_constraints(params: DcheParams, lam: complex = 1.0):
     b1, b2 = params.b1, params.b2
     w, eta = params.omega, params.eta
     scale = max(abs(w * w), abs(b1 * b1) / 4)
-    if abs(w * w + b1 * b1 / 4) > _CONSTRAINT_TOL * scale:
+    if abs(w * w + b1 * b1 / 4) > CONSTRAINT_TOL * scale:
         return None
     cross = 2 * eta * w
     rhs = b1 * (1 - b2 / 2)
@@ -413,9 +412,9 @@ def special_case_constraints(params: DcheParams, lam: complex = 1.0):
         theta1=-4 * eta * w * lam * lam,
         theta2=2 * w * w * lam * lam,
     )
-    if abs(cross + rhs) <= _CONSTRAINT_TOL * cscale:
+    if abs(cross + rhs) <= CONSTRAINT_TOL * cscale:
         return SpecialEquationSpec(kind="WHE", **common)
-    if abs(cross - rhs) <= _CONSTRAINT_TOL * cscale:
+    if abs(cross - rhs) <= CONSTRAINT_TOL * cscale:
         return SpecialEquationSpec(kind="SECOND_TYPE", **common)
     return None
 

@@ -33,12 +33,7 @@ from .core import DcheParams
 from .errors import BranchError, ConditionError, QuadratureError
 from .quadrature import exp_sinh
 from .specialfn import gamma, hyp_u, whittaker_w
-
-_BRANCH_TOL = 1e-12
-_QUAD_TOL = 1e-12  # exp-sinh tolerance, relative to the sum of |terms|
-_RATIO_TOL = 1e-6  # allowed relative spread of the transform ratios
-# (z, t) points of the adjoint-identity check
-_ADJOINT_GRID = [(1.0 + 0.2 * i, 1.1 + 0.2 * j) for i in range(3) for j in range(3)]
+from .tolerances import ADJOINT_GRID, BRANCH_TOL, MAGNITUDE_FLOOR, RATIO_TOL
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ def kernel_value(spec: KernelSpec, z, t, exponent_shift: complex = 0.0) -> compl
     z, t = complex(z), complex(t)
     p = spec.params
     xi = spec.contour_variable(z, t)
-    if abs(xi - 1) < _BRANCH_TOL:
+    if abs(xi - 1) < BRANCH_TOL:
         raise BranchError("kernel branch point: contour variable equals 1")
     pw = cmath.exp((spec.power_exponent + exponent_shift) * cmath.log(xi - 1))
     if spec.kind == "K1":
@@ -143,7 +138,7 @@ def verify_adjoint(spec: KernelSpec, exponent_shift: complex = 0.0) -> float:
     """
     p = spec.params
     worst = 0.0
-    for z0, t0 in _ADJOINT_GRID:
+    for z0, t0 in ADJOINT_GRID:
         z0, t0 = complex(z0), complex(t0)
         k = kernel_value(spec, z0, t0, exponent_shift)
         lz, lzz, lt, ltt = _log_derivatives(spec, z0, t0, exponent_shift)
@@ -157,7 +152,7 @@ def verify_adjoint(spec: KernelSpec, exponent_shift: complex = 0.0) -> float:
             + (-p.b1 + (4 - p.b2) * t0) * lt
             + (p.omega**2 * t0 * t0 - 2 * p.omega * p.eta * t0 + 2 - p.b2)
         )
-        scale = max(abs(lhs), abs(rhs), 1e-300)
+        scale = max(abs(lhs), abs(rhs), MAGNITUDE_FLOOR)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
 
@@ -185,7 +180,7 @@ def contour_quad(g: Callable[[np.ndarray], np.ndarray], p: complex) -> complex:
             at_xi.update(zip(fresh, np.asarray(g(np.array(fresh)), dtype=complex).tolist()))
         return np.array([at_xi[x] for x in xi.tolist()], dtype=complex)[back]
 
-    value, _ = exp_sinh(on_nodes, p, _QUAD_TOL)
+    value, _ = exp_sinh(on_nodes, p)
     return complex(value)
 
 
@@ -263,8 +258,8 @@ def verify_transform(
             raise QuadratureError("zero member vanished at a sample point")
         ratios.append(num / den)
     mean = sum(ratios) / len(ratios)
-    dev = max(abs(r - mean) for r in ratios) / max(abs(mean), 1e-300)
-    return RatioReport(ratios=ratios, mean=mean, max_rel_dev=dev, passed=dev < _RATIO_TOL)
+    dev = max(abs(r - mean) for r in ratios) / max(abs(mean), MAGNITUDE_FLOOR)
+    return RatioReport(ratios=ratios, mean=mean, max_rel_dev=dev, passed=dev < RATIO_TOL)
 
 
 @dataclass
@@ -315,7 +310,7 @@ def verify_boundary_terms(pair, spec: KernelSpec, z: complex) -> BoundaryReport:
         (p.b1**2 * xi / (2j * p.omega * z * z) + spec.sign * p.b1)
         * z * np.exp(pw1 * np.log(xi - 1)) * (pref * jacobian) * g(xi)
     )
-    logs = np.log(np.maximum(np.abs(terms), 1e-300))
+    logs = np.log(np.maximum(np.abs(terms), MAGNITUDE_FLOOR))
     n_eps = len(eps_values)
     slope_eps = float(np.polyfit(np.log(eps_values), logs[:n_eps], 1)[0])
     mags, r_logmags = np.abs(terms[:n_eps]).tolist(), logs[n_eps:].tolist()
@@ -430,7 +425,7 @@ def whittaker_index_check(kappa, lam, mu, a, corrected: bool = True) -> float:
         * cmath.exp((-mu / 2) * cmath.log(a))
         * whittaker_w(k - mu / 2, idx, a)
     )
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    return abs(lhs - rhs) / max(abs(lhs), MAGNITUDE_FLOOR)
 
 
 def r3_companion(spec: KernelSpec) -> KernelSpec:

@@ -42,20 +42,21 @@ from .recurrence import (
     tridiag_eigen,
 )
 from .solutions import build_pair_power, power_coeffs
+from .tolerances import (
+    BRACKET_SLACK,
+    CF_ROOT_TOL,
+    CF_SEED_ROWS,
+    COMPLEX_ROOT_TOL,
+    LEVEL_DEDUPE,
+    MAGNITUDE_FLOOR,
+    MATCH_U,
+    MISMATCH_TOL,
+    PARITY_PROBE_TOL,
+    TAIL_FRAC,
+    TAIL_U,
+)
 
 KINDS = ("DOUBLE_MORSE", "SECOND_TYPE")
-
-# a characteristic root with |Im E| above this (relative to max(1, |E|)) is
-# complex: its real part is no root, so it is not tested as a level
-_COMPLEX_ROOT_TOL = 1e-8
-# the continued-fraction search: rows of the seed matrix, root tolerance
-_CF_DEPTH = 80
-_CF_ROOT_TOL = 1e-10
-# u at which the two series pieces of a non-terminating eigenfunction meet
-_MATCH_U = 0.0
-# regularity: psi at u = +-_TAIL_U must be below _TAIL_FRAC of its interior maximum
-_TAIL_U = 10.0
-_TAIL_FRAC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -218,20 +219,20 @@ def infinite_spectrum(problem: QesProblem, bracket) -> SpectrumResult:
         raise ValueError("bracket must satisfy lo < hi")
     factory = energy_coeff_factory(problem)
     rows = _energy_rows(problem, _series_pair_id(problem))
-    eigs = np.linalg.eigvals(_tridiag_matrix(rows, _CF_DEPTH))
+    eigs = np.linalg.eigvals(_tridiag_matrix(rows, CF_SEED_ROWS))
     seeds = sorted({v.real for v in eigs if lo <= v.real <= hi})
     roots = []
     for seed in seeds:
         try:
-            r = char_root(factory, complex(seed), tol=_CF_ROOT_TOL)
+            r = char_root(factory, complex(seed), tol=CF_ROOT_TOL)
         except (DcheunError, ArithmeticError):
             continue
-        if abs(r.x.imag) > _COMPLEX_ROOT_TOL * max(1.0, abs(r.x)):
+        if abs(r.x.imag) > COMPLEX_ROOT_TOL * max(1.0, abs(r.x)):
             continue  # a complex characteristic root is no level
         e = r.x.real
-        if not (lo - 1e-9 <= e <= hi + 1e-9):
+        if not (lo - BRACKET_SLACK <= e <= hi + BRACKET_SLACK):
             continue
-        if any(abs(e - q) < 1e-8 for q in roots):
+        if any(abs(e - q) < LEVEL_DEDUPE for q in roots):
             continue
         # a characteristic root need not be a level: a genuine eigenvalue
         # must admit a matched regular eigenfunction
@@ -245,7 +246,7 @@ def infinite_spectrum(problem: QesProblem, bracket) -> SpectrumResult:
     return SpectrumResult(
         energies=sorted(roots),
         method="CONTINUED_FRACTION",
-        certificates={"char_depth": _CF_DEPTH},
+        certificates={"char_depth": CF_SEED_ROWS},
     )
 
 
@@ -332,7 +333,7 @@ def eigenfunction(
     energy: complex,
     pair_choice: Optional[int] = None,
     parity: Optional[str] = None,
-    mismatch_tol: float = 1e-6,
+    mismatch_tol: float = MISMATCH_TOL,
 ) -> Eigenfunction:
     """Wavefunction at a candidate energy, with an eigenvalue diagnostic.
 
@@ -372,7 +373,7 @@ def eigenfunction(
             # the combination of the wrong parity cancels identically
             probe = max(abs(psi(u)[0]) for u in (0.4, 0.9, 1.7))
             scale = max(abs(v) for v in seq.values)
-            if probe < 1e-12 * scale:
+            if probe < PARITY_PROBE_TOL * scale:
                 raise DomainError(
                     f"the {parity} combination vanishes at energy {energy}; "
                     "the eigenfunction has the opposite parity"
@@ -388,34 +389,34 @@ def eigenfunction(
         raise DomainError("parity combinations require a terminating series")
     p_inf = _member_to_psi(params, u_inf)
     p_zero = _member_to_psi(params, u_zero)
-    vi, di, _ = p_inf(_MATCH_U)
-    vz, dz, _ = p_zero(_MATCH_U)
+    vi, di, _ = p_inf(MATCH_U)
+    vz, dz, _ = p_zero(MATCH_U)
     if vi == 0 or vz == 0:
         raise MatchFailure("a series piece vanishes at the matching point")
     di, dz = di / vi, dz / vz
     mismatch = abs(di - dz) / max(abs(di), abs(dz), 1.0)
     if mismatch > mismatch_tol:
         raise MatchFailure(
-            f"derivative mismatch {mismatch:.3e} at u* = {_MATCH_U}: "
+            f"derivative mismatch {mismatch:.3e} at u* = {MATCH_U}: "
             f"energy {energy} is not an eigenvalue"
         )
 
     def psi(u):
         if not isinstance(u, np.ndarray):
-            if u >= _MATCH_U:
+            if u >= MATCH_U:
                 v, d1, d2 = p_inf(u)
                 return v / vi, d1 / vi, d2 / vi
             v, d1, d2 = p_zero(u)
             return v / vz, d1 / vz, d2 / vz
         out = np.empty((3, len(u)), dtype=complex)
-        for side, piece, scale in ((u >= _MATCH_U, p_inf, vi), (u < _MATCH_U, p_zero, vz)):
+        for side, piece, scale in ((u >= MATCH_U, p_inf, vi), (u < MATCH_U, p_zero, vz)):
             if side.any():
                 out[:, side] = np.array(piece(u[side])) / scale
         return tuple(out)
 
     return Eigenfunction(
         psi=psi, problem=problem, energy=energy, pair_id=pair_choice,
-        finite=False, mismatch=mismatch, match_u=_MATCH_U,
+        finite=False, mismatch=mismatch, match_u=MATCH_U,
     )
 
 
@@ -429,7 +430,7 @@ def schrodinger_residual(
     u = np.asarray(u_grid, dtype=float)
     v, _, d2 = efn.psi(u)
     res = np.abs(d2 + (efn.energy - potential(efn.problem, u)) * v)
-    return float(res.max()) / max(float(np.abs(v).max()), 1e-300)
+    return float(res.max()) / max(float(np.abs(v).max()), MAGNITUDE_FLOOR)
 
 
 @dataclass
@@ -459,16 +460,16 @@ def regularity_check(psi: Callable, problem: QesProblem) -> RegularityReport:
         return abs(out[0]) if isinstance(out, tuple) else abs(out)
 
     interior = max(val(u) for u in np.linspace(-6.0, 6.0, 49))
-    tp, tm = val(_TAIL_U), val(-_TAIL_U)
+    tp, tm = val(TAIL_U), val(-TAIL_U)
     # log-decrement over the last half-unit at each end; a tail that
     # underflows to zero counts as decaying
-    rp = math.log(max(val(_TAIL_U - 0.5), 1e-300)) - math.log(max(tp, 1e-300))
-    rm = math.log(max(val(-_TAIL_U + 0.5), 1e-300)) - math.log(max(tm, 1e-300))
-    pred = (problem.B / 2) * (math.cosh(_TAIL_U) - math.cosh(_TAIL_U - 0.5))
+    rp = math.log(max(val(TAIL_U - 0.5), MAGNITUDE_FLOOR)) - math.log(max(tp, MAGNITUDE_FLOOR))
+    rm = math.log(max(val(-TAIL_U + 0.5), MAGNITUDE_FLOOR)) - math.log(max(tm, MAGNITUDE_FLOOR))
+    pred = (problem.B / 2) * (math.cosh(TAIL_U) - math.cosh(TAIL_U - 0.5))
     passed = (
         interior > 0
-        and tp < _TAIL_FRAC * interior
-        and tm < _TAIL_FRAC * interior
+        and tp < TAIL_FRAC * interior
+        and tm < TAIL_FRAC * interior
         and (rp > 0 or tp == 0.0)
         and (rm > 0 or tm == 0.0)
     )

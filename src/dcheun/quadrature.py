@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import QuadratureError
+from .tolerances import EPS, EXP_SINH_TOL
 
-_EPS = 2.220446049250313e-16
 _H0 = 0.5  # step of level 0
 _MAX_LEVEL = 7
 _FIRST_LEVEL = 2  # levels 0.._FIRST_LEVEL are evaluated in one batch
@@ -49,7 +49,7 @@ def _terms(g, p, nodes: slice) -> np.ndarray:
     return np.exp((p + 1) * _SH[nodes] + _LOG_DU[nodes]) * g(_U[nodes])
 
 
-def exp_sinh(g, p, tol: float):
+def exp_sinh(g, p):
     """int_0^inf u^p g(u) du by the exp-sinh rule; returns (value, error estimate).
 
     ``g`` takes a float array of nodes u and returns their values; ``p``
@@ -57,9 +57,9 @@ def exp_sinh(g, p, tol: float):
     that grows at each end until the end term is negligible against the
     sum of |terms|; each later level halves the step inside the part of
     that window where the terms count.  The rule stops when two levels
-    differ by at most ``tol`` times the sum of |terms| (the scale that
-    rounding already limits a cancelling integral to), and the
-    difference is the error estimate.
+    differ by at most ``EXP_SINH_TOL`` (1e-12) times the sum of |terms|
+    (the scale that rounding already limits a cancelling integral to),
+    and the difference is the error estimate.
 
     Raises QuadratureError on a non-finite sum, on a window that reaches
     its limit without the end terms becoming negligible, or when the
@@ -72,8 +72,8 @@ def exp_sinh(g, p, tol: float):
         l1 = float(np.abs(terms).sum())
         if not math.isfinite(l1):
             raise QuadratureError("exp-sinh quadrature: sum not finite")
-        grow_lo = abs(terms[0]) > _EPS * l1
-        grow_hi = abs(terms[-1]) > _EPS * l1
+        grow_lo = abs(terms[0]) > EPS * l1
+        grow_hi = abs(terms[-1]) > EPS * l1
         if not (grow_lo or grow_hi):
             break
         if (grow_lo and lo == 0) or (grow_hi and hi == len(_T) - 1):
@@ -96,12 +96,12 @@ def exp_sinh(g, p, tol: float):
         prev, value = value, h * complex(sub.sum())
         l1 = h * float(np.abs(sub).sum())
         err = abs(value - prev)
-        if k > 0 and err <= tol * l1:
+        if k > 0 and err <= EXP_SINH_TOL * l1:
             return value, err
 
     # later levels refine only where the batch has terms that count
     mags = np.abs(terms)
-    keep = np.nonzero(mags > _EPS * mags.sum())[0]
+    keep = np.nonzero(mags > EPS * mags.sum())[0]
     win_lo = lo + step * max(keep[0] - 1, 0)
     win_hi = lo + step * min(keep[-1] + 1, len(terms) - 1)
     for k in range(_FIRST_LEVEL + 1, _MAX_LEVEL + 1):
@@ -113,9 +113,9 @@ def exp_sinh(g, p, tol: float):
         if not math.isfinite(l1):
             raise QuadratureError("exp-sinh quadrature: sum not finite")
         err = abs(value - prev)
-        if err <= tol * l1:
+        if err <= EXP_SINH_TOL * l1:
             return value, err
     raise QuadratureError(
         f"exp-sinh quadrature did not converge: level difference {err:.1e} "
-        f"against {tol:.0e} of the |terms| sum {l1:.1e}"
+        f"against {EXP_SINH_TOL:.0e} of the |terms| sum {l1:.1e}"
     )

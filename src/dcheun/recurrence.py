@@ -5,7 +5,7 @@ eigenproblems that arise from terminating series, and one minimal-solution
 routine (``_minimal_ratios``).  It starts the deepest ratio from the tail's
 continued fraction (modified Lentz), fills the rest by backward recursion,
 and raises NoConvergence when the fraction has not settled within
-``_CF_ROWS`` rows.  The one-sided series, both tails of a two-sided
+``CF_ROWS`` rows.  The one-sided series, both tails of a two-sided
 sequence and the characteristic value (row 0 of the minimal solution) all
 take their ratios from it.
 """
@@ -13,6 +13,7 @@ take their ratios from it.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -23,11 +24,21 @@ import numpy as np
 
 from .core import DcheParams
 from .errors import CFBreakdownError, GenerationError, NoConvergence, TheoremViolation
-
-_TINY = 1e-30
-_INTEGER_TOL = 1e-9
-_CF_ROWS = 400
-_CF_TOL = 1e-14
+from .tolerances import (
+    CERT_DIAG_IMAG,
+    CERT_PRODUCT_IMAG,
+    CF_ROWS,
+    CF_TINY,
+    CF_TOL,
+    CHAR_ROOT_MAX_ITER,
+    CHAR_ROOT_TOL,
+    INTEGER_TOL,
+    REAL_PART_TIE,
+    SECANT_NUDGE,
+    SECANT_OFFSET,
+    STALL_FACTOR,
+    STALL_STEP,
+)
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,7 @@ def _minimal_ratios(num, diag, off, count: int) -> list:
 
         r_count = -num(count) / (diag(count) - off(count) num(count+1) / (diag(count+1) - ...)),
 
-    summed by ``lentz`` over at most ``_CF_ROWS`` rows; the others follow
+    summed by ``lentz`` over at most ``CF_ROWS`` rows; the others follow
     by backward recursion r_k = -num(k) / (diag(k) + off(k) r_{k+1})
     (Gautschi, SIAM Rev. 9 (1967)).  The right tail of a recurrence is
     (gamma, beta, alpha); the left tail is the same recursion under
@@ -121,14 +132,14 @@ def _minimal_ratios(num, diag, off, count: int) -> list:
     r = lentz(
         lambda j: -num(count) if j == 1 else -off(count + j - 2) * num(count + j - 1),
         lambda j: diag(count + j - 1),
-        _CF_ROWS,
-        _CF_TOL,
+        CF_ROWS,
+        CF_TOL,
     )
     ratios = [r]
     for k in range(count - 1, 0, -1):
         den = diag(k) + off(k) * r
         if den == 0:
-            den = _TINY
+            den = CF_TINY
         r = -num(k) / den
         ratios.append(r)
     ratios.reverse()
@@ -167,17 +178,17 @@ def lentz(a: Callable[[int], complex], b: Callable[[int], complex], depth: int, 
     Stops once a row changes the value by less than ``tol`` (relative);
     raises NoConvergence when ``depth`` rows do not get there.
     """
-    f = _TINY
+    f = CF_TINY
     c = f
     d = 0.0j
     for j in range(1, depth + 1):
         aj, bj = a(j), b(j)
         d = bj + aj * d
         if d == 0:
-            d = _TINY
+            d = CF_TINY
         c = bj + aj / c
         if c == 0:
-            c = _TINY
+            c = CF_TINY
         d = 1.0 / d
         delta = c * d
         f *= delta
@@ -212,38 +223,41 @@ class RootResult:
 def char_root(
     factory: Callable[[complex], ThreeTermCoeffs],
     guess: complex,
-    tol: float = 1e-11,
-    max_iter: int = 200,
+    tol: float = CHAR_ROOT_TOL,
+    max_iter: int = CHAR_ROOT_MAX_ITER,
 ) -> RootResult:
     """Secant root of x -> char_value(factory(x)) starting from guess.
 
     ``x`` is whatever scalar parametrizes the coefficients (a constant
     term, a phase parameter, an energy).  Raises NoConvergence after
     ``max_iter`` steps, or at the first iterate whose continued fraction
-    does not settle within ``_CF_ROWS`` rows; multi-start from perturbed
-    guesses is advised.
+    does not settle within ``CF_ROWS`` rows; multi-start from perturbed
+    guesses is advised.  ``tol`` must be positive and finite (ValueError).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not tol < math.inf:
+        raise ValueError(f"tol must be finite, got {tol!r}")
 
     def f(x):
         return char_value(factory(x))
 
     x0 = complex(guess)
-    x1 = x0 * (1 + 1e-4) + 1e-4 * (1 + 0.3j)
+    x1 = x0 * (1 + SECANT_OFFSET) + SECANT_OFFSET * (1 + 0.3j)
     f0, f1 = f(x0), f(x1)
     for it in range(1, max_iter + 1):
         if abs(f1) < tol:
             return RootResult(x=x1, residual=abs(f1), iterations=it)
         denom = f1 - f0
         if denom == 0:
-            x2 = x1 + 1e-7 * (1 + 1j)
+            x2 = x1 + SECANT_NUDGE * (1 + 1j)
         else:
             x2 = x1 - f1 * (x1 - x0) / denom
         x0, f0 = x1, f1
         x1 = x2
         f1 = f(x1)
-        if abs(f1) < tol or (abs(x1 - x0) < 1e-15 * max(1.0, abs(x1)) and abs(f1) < 1e3 * tol):
+        stalled = abs(x1 - x0) < STALL_STEP * max(1.0, abs(x1))
+        if abs(f1) < tol or (stalled and abs(f1) < STALL_FACTOR * tol):
             return RootResult(x=x1, residual=abs(f1), iterations=it + 1)
     raise NoConvergence(
         f"secant iteration stalled at |char_value| = {abs(f1):.3e} after {max_iter} steps; "
@@ -268,7 +282,7 @@ def finite_series_condition(pair_id: int, params: DcheParams) -> Optional[int]:
     else:
         x = (half - ie) - 1
     n = round(x.real)
-    if n >= 1 and abs(x - n) <= _INTEGER_TOL:
+    if n >= 1 and abs(x - n) <= INTEGER_TOL:
         return n
     return None
 
@@ -315,9 +329,11 @@ def tridiag_eigen(coeffs: ThreeTermCoeffs, size: int) -> EigenResult:
     ev = np.linalg.eigvals(m)
     products = [complex(m[j, j + 1] * m[j + 1, j]) for j in range(size - 1)]
     scale = max((abs(p) for p in products), default=1.0) or 1.0
-    diag_real = all(abs(m[j, j].imag) <= 1e-12 * max(1.0, abs(m[j, j])) for j in range(size))
+    diag_real = all(
+        abs(m[j, j].imag) <= CERT_DIAG_IMAG * max(1.0, abs(m[j, j])) for j in range(size)
+    )
     certified = diag_real and all(
-        abs(p.imag) <= 1e-10 * scale and p.real > 0 for p in products
+        abs(p.imag) <= CERT_PRODUCT_IMAG * scale and p.real > 0 for p in products
     )
     if certified:
         vals = [complex(v) for v in sorted(float(v.real) for v in ev)]
@@ -341,7 +357,7 @@ def _spectral_order(values: list) -> list:
     the two comes first.
     """
     vals = sorted(values, key=lambda v: v.real)
-    tol = 1e-8 * max((abs(v) for v in vals), default=0.0)
+    tol = REAL_PART_TIE * max((abs(v) for v in vals), default=0.0)
     out, group = [], []
     for v in vals:
         if group and v.real - group[0].real > tol:
@@ -354,10 +370,13 @@ def _spectral_order(values: list) -> list:
 def generate_two_sided(coeffs: ThreeTermCoeffs, window: int) -> CoeffSeq:
     """Two-sided minimal sequence b_n, |n| <= window, normalized b_0 = 1.
 
-    Each tail's ratios come from ``_minimal_ratios``.
+    Each tail's ratios come from ``_minimal_ratios``.  A window below 1
+    raises GenerationError.
     """
     if not coeffs.two_sided:
         raise GenerationError("coefficients are not two-sided")
+    if window < 1:
+        raise GenerationError(f"window must be >= 1, got {window}")
     one = 1.0 + 0.0j
     right = _minimal_ratios(*_tail(coeffs, +1), window)
     left = _minimal_ratios(*_tail(coeffs, -1), window)

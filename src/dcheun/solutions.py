@@ -49,12 +49,7 @@ from .recurrence import (
     generate_two_sided,
 )
 from .specialfn import u_ladder
-
-_TRUNC_TOL = 1e-16
-# a one-sided sum whose last term is still above this fraction of its peak
-# term has not converged
-_SERIES_TOL = 1e-10
-_DEN_TOL = 1e-9
+from .tolerances import CHAR_VALUE_WARN, DEN_TOL, SERIES_TOL, TRUNC_TOL
 
 
 @dataclass(frozen=True)
@@ -140,12 +135,15 @@ def evaluate(sol: DcheSolution, z):
     point's U ladder is stepped only as far as its sum goes.  A one-sided
     infinite sum whose last term is still above 1e-10 of its peak raises
     NoConvergence.  A SectorWarning is issued (once per call) when the
-    member's half-plane condition on Re(B1/z) fails at some point.
+    member's half-plane condition on Re(B1/z) fails at some point.  A
+    non-finite point, or z = 0, raises DomainError for every member.
     """
     many = isinstance(z, np.ndarray)
     z = z.astype(complex) if many else complex(z)
     if many and z.ndim != 1:
         raise ValueError("evaluate takes a scalar or a 1-D array of points")
+    if not (np.isfinite(z).all() if many else cmath.isfinite(z)):
+        raise DomainError("solutions are evaluated at finite points only")
     if (z == 0).any() if many else z == 0:
         raise DomainError("solutions are singular or undefined at z = 0")
     if sol.halfplane_sign:
@@ -211,7 +209,7 @@ def _term_sums(sol: DcheSolution, z, many: bool):
         peak = larger(peak, last)
         if seq.n_min:
             continue
-        small = (small + 1) * (last <= _TRUNC_TOL * peak)
+        small = (small + 1) * (last <= TRUNC_TOL * peak)
         if not many:
             if small >= 3:
                 break
@@ -230,7 +228,7 @@ def _term_sums(sol: DcheSolution, z, many: bool):
             if not len(pos):
                 break
     if not seq.finite and seq.n_min == 0:
-        live_tail = (peak > 0) & (last > _SERIES_TOL * peak)
+        live_tail = (peak > 0) & (last > SERIES_TOL * peak)
         if live_tail.any() if many else live_tail:
             ratio = (last / peak)[live_tail].max() if many else last / peak
             raise NoConvergence(
@@ -421,7 +419,7 @@ def coulomb_nu_coeffs(pair_id: int, params: DcheParams, nu) -> ThreeTermCoeffs:
 
 
 def _check_phase(nu: complex, one_sided: bool, remedy: str) -> Optional[int]:
-    """k = 2 nu when nu lies within ``_DEN_TOL`` of the half-integer lattice,
+    """k = 2 nu when nu lies within ``DEN_TOL`` of the half-integer lattice,
     else None.
 
     Every table denominator is n + nu + c with c in {-1/2, 0, 1, 3/2}, so
@@ -431,7 +429,7 @@ def _check_phase(nu: complex, one_sided: bool, remedy: str) -> Optional[int]:
     where beta(0) (k = 0) or gamma(1) (k = -1) is 0/0 and has a limit.
     """
     k = round(2 * nu.real) if cmath.isfinite(nu) else None
-    if k is None or abs(nu - k / 2) >= _DEN_TOL:
+    if k is None or abs(nu - k / 2) >= DEN_TOL:
         return None
     if one_sided and k >= -1:
         return k
@@ -457,7 +455,7 @@ def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 40
     tc = coulomb_nu_coeffs(pair_id, params, nu)
     _check_phase(nu, False, "shift nu to the companion characteristic root")
     cv = char_value(tc)
-    if abs(cv) > 1e-6 * max(1.0, abs(tc.beta(0))):
+    if abs(cv) > CHAR_VALUE_WARN * max(1.0, abs(tc.beta(0))):
         warnings.warn(
             f"phase parameter does not satisfy the characteristic equation "
             f"(|value| = {abs(cv):.2e}); series will not solve the equation",

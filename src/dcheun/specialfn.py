@@ -43,23 +43,18 @@ import numpy as np
 
 from .errors import BranchError, DomainError, NoConvergence, PoleError, QuadratureError
 from .quadrature import exp_sinh
-
-_EPS = 2.220446049250313e-16
-_ASYMPTOTIC_CUTOFF = 30.0
-_FALLBACK_TOL = 1e-11
-# relative error allowed for a product of two of SciPy's complex Gamma values
-# (up to about 2.5e-15 against mpmath on the connection coefficients)
-_GAMMA_REL = 5e-15
-# b this close to an integer skips the connection route: both of its terms
-# have poles there, and its estimate (of order eps / |b - n|) would reject it
-_INTEGER_B_WINDOW = 1e-5
-_LAPLACE_TOL = 1e-12
-# a db = 2 ladder seeds the term where |b - a| is below this: a backward
-# step there divides by b - a, and loses about log10(1 / |b - a|) digits
-_LADDER_GAP = 0.1
-# distance from 0, -1, -2, ... at which a Gamma pole or a polynomial U is taken
-_POLE_TOL = 1e-12
-_KUMMER_MAX_TERMS = 700
+from .tolerances import (
+    ASYMPTOTIC_CUTOFF,
+    ASYMPTOTIC_MAX_TERMS,
+    EPS,
+    FALLBACK_TOL,
+    GAMMA_REL,
+    INTEGER_B_WINDOW,
+    KUMMER_MAX_TERMS,
+    LADDER_GAP,
+    MAGNITUDE_FLOOR,
+    POLE_TOL,
+)
 
 
 def _as_complex(x) -> complex:
@@ -71,7 +66,7 @@ def _as_complex(x) -> complex:
 
 def _is_nonpositive_integer(z: complex) -> bool:
     return (
-        abs(z.imag) <= _POLE_TOL and z.real <= 0.5 and abs(z.real - round(z.real)) <= _POLE_TOL
+        abs(z.imag) <= POLE_TOL and z.real <= 0.5 and abs(z.real - round(z.real)) <= POLE_TOL
     )
 
 
@@ -139,12 +134,12 @@ def _kummer_m(a: complex, b: complex, z: complex):
     term = 1.0 + 0.0j
     bound = 1.0
     k_min = max(3.0, -b.real)
-    for k in range(_KUMMER_MAX_TERMS):
+    for k in range(KUMMER_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1))
         s += term
         t = abs(term)
         bound += (k + 2) * t
-        if t <= _EPS * abs(s) and k > k_min:
+        if t <= EPS * abs(s) and k > k_min:
             return s, bound
     raise NoConvergence(f"Kummer series did not converge for M({a}, {b}, {z})")
 
@@ -161,7 +156,7 @@ def _u_asymptotic(a: complex, b: complex, z: complex):
     term = 1.0 + 0.0j
     best = 1.0
     rounding = 1.0
-    for k in range(120):
+    for k in range(ASYMPTOTIC_MAX_TERMS):
         new = term * (a + k) * (a - b + 1 + k) / (-(k + 1) * z)
         if abs(new) >= abs(term) and k > 1:
             break  # divergent tail reached; stop at the smallest term
@@ -169,11 +164,11 @@ def _u_asymptotic(a: complex, b: complex, z: complex):
         s += term
         best = abs(term)
         rounding += (k + 2) * best
-        if best <= _EPS * abs(s):
+        if best <= EPS * abs(s):
             break
     pref = cmath.exp(-a * cmath.log(z))
-    err = 2 * math.sqrt(abs(z)) * best + _EPS * rounding
-    return pref * s, err / max(abs(s), 1e-300)
+    err = 2 * math.sqrt(abs(z)) * best + EPS * rounding
+    return pref * s, err / max(abs(s), MAGNITUDE_FLOOR)
 
 
 def _gamma_b_minus_1(b: complex) -> complex:
@@ -211,8 +206,8 @@ def _u_connection(a: complex, b: complex, z: complex):
     c1 = complex(sp.gamma(1 - b) * sp.rgamma(a - b + 1))
     c2 = _gamma_b_minus_1(b) * complex(sp.rgamma(a)) * cmath.exp((1 - b) * cmath.log(z))
     val = c1 * m1 + c2 * m2
-    err = _EPS * (abs(c1) * e1 + abs(c2) * e2) + _GAMMA_REL * (abs(c1 * m1) + abs(c2 * m2))
-    return val, err / max(abs(val), 1e-300)
+    err = EPS * (abs(c1) * e1 + abs(c2) * e2) + GAMMA_REL * (abs(c1 * m1) + abs(c2 * m2))
+    return val, err / max(abs(val), MAGNITUDE_FLOOR)
 
 
 def _u_laplace(a: complex, b: complex, z: complex) -> complex:
@@ -236,9 +231,7 @@ def _u_laplace(a: complex, b: complex, z: complex) -> complex:
         # on the ray s = e^{i theta} x: U(c) = rgamma(c) (e^{i theta} / z)^c * integral
         e = b - c - 1
         try:
-            val, _ = exp_sinh(
-                lambda x: np.exp(e * np.log(1 + ray_z * x) - ray * x), c - 1, _LAPLACE_TOL
-            )
+            val, _ = exp_sinh(lambda x: np.exp(e * np.log(1 + ray_z * x) - ray * x), c - 1)
         except QuadratureError as exc:
             raise NoConvergence(f"Laplace integral of U({a}, {b}, {z}): {exc}") from exc
         return rgamma(c) * cmath.exp(c * log_ray_z) * val
@@ -282,13 +275,13 @@ def hyp_u(a, b, z) -> complex:
             fact *= k
         return sign * fact * laguerre(l, b - 1, z)
 
-    if abs(z) >= _ASYMPTOTIC_CUTOFF:
+    if abs(z) >= ASYMPTOTIC_CUTOFF:
         val, err = _u_asymptotic(a, b, z)
-    elif abs(b - round(b.real)) < _INTEGER_B_WINDOW:
+    elif abs(b - round(b.real)) < INTEGER_B_WINDOW:
         return _u_laplace(a, b, z)
     else:
         val, err = _u_connection(a, b, z)
-    if err < _FALLBACK_TOL:
+    if err < FALLBACK_TOL:
         return val
     return _u_laplace(a, b, z)
 
@@ -332,7 +325,7 @@ def u_ladder(a0, b0, db: int, w, n_lo: int, count: int):
     that reaches there takes a second seed pair at that point and fills
     the terms below it from that seed.  A backward step also loses digits
     as b - a nears 0, and cannot be taken where it is 0: where b - a =
-    b0 - a0 + n is within ``_LADDER_GAP`` of 0 at a term n below the top
+    b0 - a0 + n is within ``LADDER_GAP`` of 0 at a term n below the top
     seed, that term is a seed too.
 
     Every forward step divides by a + 1, so the top seed also sits above
@@ -360,7 +353,7 @@ def u_ladder(a0, b0, db: int, w, n_lo: int, count: int):
     low = round(centre - 0.75 * left)
     seeds = {low} if n_lo < low < top else set()
     k = round(a0.real - b0.real)  # backward steps divide by b - a = b0 - a0 + n
-    if n_lo <= k < top and abs(b0 - a0 + k) < _LADDER_GAP:
+    if n_lo <= k < top and abs(b0 - a0 + k) < LADDER_GAP:
         seeds.add(k)
     seeds = sorted(s - n_lo for s in seeds)
     return _ladder_2(a0 + n_lo, b0 + 2 * n_lo, w, seeds + [top - n_lo], count)

@@ -216,6 +216,15 @@ def test_nonpositive_tolerance_exits_2(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tolerance_exits_2(tol, capsys):
+    # every check would pass under worst < inf and fail under worst < nan
+    code, out, err = run_cli(capsys, "verify", "--suite", "rules", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "finite" in json.loads(err)["error"]
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
 

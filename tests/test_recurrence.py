@@ -51,6 +51,17 @@ def test_generate_forward_matches_hand_rolled():
     assert max(seq.row_residuals(coeffs)) < 1e-14
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_two_sided_window_below_one_is_refused(window):
+    # window = -3 used to give the single term b_0, which build_pair_coulomb_nu
+    # summed with no warning; window = 0 failed later with "increase n_terms"
+    coeffs = ThreeTermCoeffs(
+        alpha=lambda n: 1.0, beta=lambda n: -4.0, gamma=lambda n: 1.0, two_sided=True
+    )
+    with pytest.raises(GenerationError, match="window must be >= 1"):
+        generate_two_sided(coeffs, window)
+
+
 def test_generate_rejects_vanishing_leading_coefficient():
     coeffs = ThreeTermCoeffs(alpha=lambda n: float(n), beta=lambda n: 1.0, gamma=lambda n: 1.0)
     with pytest.raises(GenerationError):
@@ -147,6 +158,21 @@ def test_char_root_finds_bessel_zero():
     r = char_root(fac, 2.3)
     assert abs(r.x - 2.404825557695773) < 1e-10
     assert r.residual < 1e-10
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
+def test_char_root_refuses_a_tolerance_outside_zero_to_inf(tol):
+    # tol = inf would accept the second secant point as a root, and
+    # tol = nan would run every step and report a zero residual
+    calls = []
+
+    def fac(x):
+        calls.append(x)
+        return bessel_coeffs(x)
+
+    with pytest.raises(ValueError, match="tol must be"):
+        char_root(fac, 2.3, tol=tol)
+    assert calls == []
 
 
 def test_char_root_reports_stall():

@@ -572,6 +572,31 @@ def test_array_call_domain_and_sector(rng):
     assert [w.category for w in caught] == [SectorWarning]
 
 
+def member_of_kind(rng, kind):
+    """A member whose terms carry powers only ("power"), U only ("U"),
+    or both (the Coulomb kinds)."""
+    if kind == "coulomb_nu":
+        _, pair = next(coulomb_nu_pairs(rng, 1))
+        return pair[0]
+    p = tune_b3(1, draw_params(rng, b2_range=(0.3, 1.2)))
+    if kind == "coulomb":
+        return build_pair_coulomb(1, p)[0]
+    return build_pair_power(1, p)[0 if kind == "power" else 1]
+
+
+@pytest.mark.parametrize("kind", ["power", "U", "coulomb", "coulomb_nu"])
+def test_non_finite_points_are_refused(kind, rng):
+    # a power member used to return NaN values for these, while the U
+    # factors of the other kinds refused them
+    member = member_of_kind(rng, kind)
+    z = member.params.b1 / abs(member.params.b1)  # inside every member's half-plane
+    for bad in (complex("nan"), complex("inf"), complex(1.0, float("inf")), float("nan")):
+        with pytest.raises(DomainError, match="finite"):
+            member(bad)
+        with pytest.raises(DomainError, match="finite"):
+            member(np.array([z, bad, 1.5 * z]))
+
+
 def test_scalar_call_returns_builtin_complex(rng):
     p = tune_b3(3, draw_params(rng, b2_range=(0.3, 1.2)))
     for member in build_pair_power(3, p) + build_pair_coulomb(3, p):
