@@ -28,6 +28,25 @@ def _c(x) -> complex:
     return z
 
 
+def jet_product(f, g):
+    """(fg, (fg)', (fg)'') from the jets (value, d1, d2) of f and of g."""
+    f0, f1, f2 = f
+    g0, g1, g2 = g
+    return f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + 2 * f1 * g1 + f0 * g2
+
+
+def jet_chain(f_at_w, w_jet):
+    """Jet of F(w(z)) from F's jet at w = w(z) and the jet (w, w', w'') of w."""
+    f0, f1, f2 = f_at_w
+    _, w1, w2 = w_jet
+    return f0, f1 * w1, f2 * w1 * w1 + f1 * w2
+
+
+def jet_exp(p, l1, l2):
+    """Jet of P = e^L from its value p and the derivatives l1 = L', l2 = L''."""
+    return p, p * l1, p * (l1 * l1 + l2)
+
+
 @dataclass(frozen=True)
 class DcheParams:
     """The five constants (B1, B2, B3, omega, eta) of the equation."""
@@ -125,28 +144,18 @@ class GaugeMap:
 
     def prefactor_derivatives(self, z):
         """(P, P', P'') of the prefactor at z, a scalar or a numpy array."""
-        p = self.prefactor(z)
-        lo = self.exp_z - self.exp_inv / z**2 + self.power / z  # (log P)'
-        lo2 = 2 * self.exp_inv / z**3 - self.power / z**2       # (log P)''
-        return p, p * lo, p * (lo * lo + lo2)
+        return jet_exp(
+            self.prefactor(z),
+            self.exp_z - self.exp_inv / z**2 + self.power / z,  # (log P)'
+            2 * self.exp_inv / z**3 - self.power / z**2,        # (log P)''
+        )
 
     def transport(self, f):
-        """Given f(w) -> (value, d1, d2), return g(z) -> (value, d1, d2).
-
-        g(z) = P(z) f(w(z)); derivatives by product and chain rule.
-        """
+        """Given f(w) -> (value, d1, d2), return g(z) = P(z) f(w(z)) -> (value, d1, d2)."""
 
         def g(z: complex):
-            p, dp, d2p = self.prefactor_derivatives(z)
-            w, dw, d2w = self.varmap.derivatives(z)
-            fv, f1, f2 = f(w)
-            inner1 = f1 * dw
-            inner2 = f2 * dw * dw + f1 * d2w
-            return (
-                p * fv,
-                dp * fv + p * inner1,
-                d2p * fv + 2 * dp * inner1 + p * inner2,
-            )
+            w = self.varmap.derivatives(z)
+            return jet_product(self.prefactor_derivatives(z), jet_chain(f(w[0]), w))
 
         return g
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DcheParams
+from .core import DcheParams, GaugeMap, apply_rule, jet_chain, jet_product, residual
 from .errors import BranchError, ConditionError, QuadratureError
 from .quadrature import exp_sinh
 from .specialfn import gamma, hyp_u, whittaker_w
@@ -70,6 +70,15 @@ class KernelSpec:
             return p.b2 / 2 - p.i_eta - 2
         return -p.b2 / 2 - p.i_eta
 
+    @property
+    def factors(self):
+        """(Pz, Pt): the gauges with K = Pz(z) Pt(t) (xi - 1)^pw."""
+        p = self.params
+        iw = 1j * p.omega
+        if self.kind == "K1":
+            return GaugeMap(exp_z=iw, exp_inv=p.b1, power=2 - p.b2), GaugeMap(exp_z=iw)
+        return GaugeMap(exp_z=iw), GaugeMap(exp_z=iw, exp_inv=-p.b1, power=p.b2 - 2)
+
     def contour_variable(self, z: complex, t: complex) -> complex:
         return -self.sign * 2j * self.params.omega * z * t / self.params.b1
 
@@ -83,75 +92,41 @@ class KernelSpec:
 def kernel_value(spec: KernelSpec, z, t, exponent_shift: complex = 0.0) -> complex:
     """Kernel K(z, t); ``exponent_shift`` perturbs the power exponent
     (fault injection for negative controls)."""
-    z, t = complex(z), complex(t)
-    p = spec.params
+    return _kernel_jets(spec, complex(z), complex(t), exponent_shift)[0][0]
+
+
+def _kernel_jets(spec: KernelSpec, z: complex, t: complex, exponent_shift: complex):
+    """Jets (K, K', K'') of K(z, t) in z at fixed t, and in t at fixed z.
+
+    K = Pz(z) Pt(t) x^pw at x = xi - 1; xi is proportional to z t, so
+    dxi/dz = xi/z and dxi/dt = xi/t.
+    """
     xi = spec.contour_variable(z, t)
     if abs(xi - 1) < BRANCH_TOL:
         raise BranchError("kernel branch point: contour variable equals 1")
-    pw = cmath.exp((spec.power_exponent + exponent_shift) * cmath.log(xi - 1))
-    if spec.kind == "K1":
-        return (
-            cmath.exp(1j * p.omega * (z + t) + p.b1 / z)
-            * cmath.exp((2 - p.b2) * cmath.log(z))
-            * pw
-        )
-    return (
-        cmath.exp(1j * p.omega * (z + t) - p.b1 / t)
-        * cmath.exp((p.b2 - 2) * cmath.log(t))
-        * pw
-    )
-
-
-def _log_derivatives(spec: KernelSpec, z: complex, t: complex, exponent_shift: complex):
-    """((log K)_z, (log K)_zz, (log K)_t, (log K)_tt) at (z, t), in closed form.
-
-    K is a product of exponentials and powers.  With xi proportional to
-    z t and q = xi / (xi - 1), the factor (xi - 1)^pw adds pw q / z to
-    (log K)_z and -pw q^2 / z^2 to (log K)_zz; likewise in t.
-    """
-    p = spec.params
-    xi = spec.contour_variable(z, t)
-    pw = spec.power_exponent + exponent_shift
-    q = xi / (xi - 1)
-    lz, lzz = pw * q / z, -pw * q * q / (z * z)
-    lt, ltt = pw * q / t, -pw * q * q / (t * t)
-    iw = 1j * p.omega
-    if spec.kind == "K1":  # e^{i w (z + t) + B1/z} z^(2 - B2)
-        lz += iw - p.b1 / (z * z) + (2 - p.b2) / z
-        lzz += 2 * p.b1 / z**3 - (2 - p.b2) / (z * z)
-        lt += iw
-    else:  # e^{i w (z + t) - B1/t} t^(B2 - 2)
-        lz += iw
-        lt += iw + p.b1 / (t * t) + (p.b2 - 2) / t
-        ltt += -2 * p.b1 / t**3 - (p.b2 - 2) / (t * t)
-    return lz, lzz, lt, ltt
+    power = GaugeMap(power=spec.power_exponent + exponent_shift).prefactor_derivatives(xi - 1)
+    pz, pt = spec.factors
+    in_z = jet_product(pz.prefactor_derivatives(z), jet_chain(power, (xi, xi / z, 0.0)))
+    in_t = jet_product(pt.prefactor_derivatives(t), jet_chain(power, (xi, xi / t, 0.0)))
+    return [pt.prefactor(t) * d for d in in_z], [pz.prefactor(z) * d for d in in_t]
 
 
 def verify_adjoint(spec: KernelSpec, exponent_shift: complex = 0.0) -> float:
     """Max relative defect of the adjoint identity on a 3 x 3 (z, t) grid.
 
-    The kernel must satisfy L_z{K} = Lbar_t{K} with
-    L_z = z^2 d2/dz2 + (B1 + B2 z) d/dz + (w^2 z^2 - 2 w eta z) and
-    Lbar_t = t^2 d2/dt2 + (-B1 + (4 - B2) t) d/dt
-    + (w^2 t^2 - 2 w eta t + 2 - B2).
-    Derivatives are exact: K' = K (log K)' and K'' = K ((log K)'^2 + (log K)'').
+    The kernel must satisfy L_z{K} = Lbar_t{K}.  L is the equation's
+    operator (``core.residual``) at B3 = 0, and its formal adjoint Lbar is
+    the same operator at the r2 image of those parameters
+    (``core.apply_rule``).  The jets of K are exact.
     """
-    p = spec.params
+    p = spec.params.with_b3(0)
+    adjoint = apply_rule("r2", p)[0]
     worst = 0.0
     for z0, t0 in ADJOINT_GRID:
         z0, t0 = complex(z0), complex(t0)
-        k = kernel_value(spec, z0, t0, exponent_shift)
-        lz, lzz, lt, ltt = _log_derivatives(spec, z0, t0, exponent_shift)
-        lhs = k * (
-            z0 * z0 * (lz * lz + lzz)
-            + (p.b1 + p.b2 * z0) * lz
-            + (p.omega**2 * z0 * z0 - 2 * p.omega * p.eta * z0)
-        )
-        rhs = k * (
-            t0 * t0 * (lt * lt + ltt)
-            + (-p.b1 + (4 - p.b2) * t0) * lt
-            + (p.omega**2 * t0 * t0 - 2 * p.omega * p.eta * t0 + 2 - p.b2)
-        )
+        in_z, in_t = _kernel_jets(spec, z0, t0, exponent_shift)
+        lhs = residual(p, lambda _: in_z, z0)
+        rhs = residual(adjoint, lambda _: in_t, t0)
         scale = max(abs(lhs), abs(rhs), MAGNITUDE_FLOOR)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst

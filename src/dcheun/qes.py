@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DcheParams
+from .core import DcheParams, jet_chain, jet_exp, jet_product
 from .errors import (
     DcheunError,
     DegenerateError,
@@ -271,61 +271,35 @@ def _member_to_psi(params: DcheParams, member) -> Callable[[float], tuple]:
     """Wrap a z-plane pair member as psi(u) with z = e^u.
 
     psi = P(u) V(u) with log P = ((B2-1)/2) u - (B1/2) e^{-u} and
-    V(u) = member(e^u); derivatives by product and chain rule.  ``u`` is
-    a float or a float array, which the member evaluates in one call.
+    V(u) = member(e^u).  ``u`` is a float or a float array, which the
+    member evaluates in one call.
     """
     b1, b2 = params.b1, params.b2
 
     def psi(u):
         xp = np if isinstance(u, np.ndarray) else cmath
         z = xp.exp(u)
-        v, d1, d2 = member(z)
-        logp = ((b2 - 1) / 2) * u - (b1 / 2) * xp.exp(-u)
-        pre = xp.exp(logp)
-        g = (b2 - 1) / 2 + b1 / (2 * z)
-        gp = -b1 / (2 * z)
-        dv = d1 * z
-        d2v = d2 * z * z + d1 * z
-        val = pre * v
-        dval = pre * (g * v + dv)
-        d2val = pre * ((g * g + gp) * v + 2 * g * dv + d2v)
-        return val, dval, d2val
+        pre = xp.exp(((b2 - 1) / 2) * u - (b1 / 2) * xp.exp(-u))
+        gauge = jet_exp(pre, (b2 - 1) / 2 + b1 / (2 * z), -b1 / (2 * z))
+        return jet_product(gauge, jet_chain(member(z), (z, z, z)))
 
     return psi
 
 
-def _parity_psi(problem: QesProblem, coeffs, parity: str) -> Callable[[float], tuple]:
-    """Even/odd combination of the two terminating members at C = 0.
+def _parity_part(psi: Callable, parity: str) -> Callable[[float], tuple]:
+    """(psi(-u) + psi(u))/2 (EVEN) or (psi(-u) - psi(u))/2 (ODD), with its
+    two derivatives; ``u`` is a float or a float array.
 
-    psi(u) = e^{-(B/2) cosh u} sum_n b_n (B/2)^{-n} h((n-s)u) with
-    h = cosh (even) or sinh (odd).
+    At C = 0, psi(u) = e^{-(B/2) cosh u} sum_n b_n (B/2)^{-n} e^{(s-n)u},
+    so the parts are the sums with cosh((n-s)u) and sinh((n-s)u).
     """
-    B, s = problem.B, problem.s
-    terms = [
-        (coeffs.b(n) * (B / 2.0) ** (-n), n - s) for n in range(coeffs.n_max + 1)
-    ]
+    sign = 1 if parity == "EVEN" else -1
 
-    def psi(u):
-        xp, rp = (np, np) if isinstance(u, np.ndarray) else (cmath, math)
-        sv = sd = sd2 = 0.0j
-        for c, k in terms:
-            if parity == "EVEN":
-                h, hp = xp.cosh(k * u), xp.sinh(k * u)
-            else:
-                h, hp = xp.sinh(k * u), xp.cosh(k * u)
-            sv += c * h
-            sd += c * k * hp
-            sd2 += c * k * k * h
-        logp = -(B / 2) * rp.cosh(u)
-        pre = xp.exp(logp)
-        g = -(B / 2) * rp.sinh(u)
-        gp = -(B / 2) * rp.cosh(u)
-        val = pre * sv
-        dval = pre * (g * sv + sd)
-        d2val = pre * ((g * g + gp) * sv + 2 * g * sd + sd2)
-        return val, dval, d2val
+    def part(u):
+        (v, d1, d2), (r0, r1, r2) = psi(u), psi(-u)
+        return (r0 + sign * v) / 2, (sign * d1 - r1) / 2, (r2 + sign * d2) / 2
 
-    return psi
+    return part
 
 
 def eigenfunction(
@@ -364,12 +338,13 @@ def eigenfunction(
                 f"closing-row residual {mismatch:.3e} at energy {energy}: "
                 "not an eigenvalue"
             )
+        psi = _member_to_psi(params, u_inf)
         if parity is not None:
             if problem.C != 0:
                 raise DomainError("parity combinations exist only for C = 0")
             if parity not in ("EVEN", "ODD"):
                 raise ValueError("parity must be EVEN or ODD")
-            psi = _parity_psi(problem, seq, parity)
+            psi = _parity_part(psi, parity)
             # the combination of the wrong parity cancels identically
             probe = max(abs(psi(u)[0]) for u in (0.4, 0.9, 1.7))
             scale = max(abs(v) for v in seq.values)
@@ -378,8 +353,6 @@ def eigenfunction(
                     f"the {parity} combination vanishes at energy {energy}; "
                     "the eigenfunction has the opposite parity"
                 )
-        else:
-            psi = _member_to_psi(params, u_inf)
         return Eigenfunction(
             psi=psi, problem=problem, energy=energy, pair_id=pair_choice,
             finite=True, mismatch=mismatch, parity=parity,

@@ -37,7 +37,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DcheParams, GaugeMap, VarMap, apply_rule
+from .core import (
+    DcheParams,
+    GaugeMap,
+    VarMap,
+    apply_rule,
+    jet_chain,
+    jet_exp,
+    jet_product,
+)
 from .errors import DenominatorError, DomainError, NoConvergence, SectorWarning
 from .recurrence import (
     CoeffSeq,
@@ -76,29 +84,20 @@ class TermScheme:
         of this term; both are None when the scheme has no U factor.  ``z``
         and the parts of ``w_derivs`` and ``u`` may be numpy arrays of points,
         with ``xp`` = numpy supplying exp and log."""
-        v = 1.0 + 0.0j
-        l1 = 0.0j  # (log of power factor)' pieces handled additively
-        l2 = 0.0j
+        power = None
         if self.pow_sign and n:
             k = self.pow_sign * n
-            v = xp.exp(k * xp.log(self.pow_const * z))
-            l1 = k / z
-            l2 = -k / (z * z)
+            power = jet_exp(xp.exp(k * xp.log(self.pow_const * z)), k / z, -k / (z * z))
         if self.arg is None:
-            return v, v * l1, v * (l1 * l1 + l2)
+            return power or (1.0 + 0.0j, 0.0j, 0.0j)
         a = self.a0 + n
         b = self.b0 + self.db * n
-        w, dw, d2w = w_derivs
+        w = w_derivs[0]
         g0, u1 = u
         u1 *= -a  # dU/dw = -a U(a+1, b+1, w)
         u2 = (a * g0 + (w - b) * u1) / w  # Kummer's equation w U'' + (b - w) U' - a U = 0
-        g1 = u1 * dw
-        g2 = u2 * dw * dw + u1 * d2w
-        return (
-            v * g0,
-            v * (l1 * g0 + g1),
-            v * ((l1 * l1 + l2) * g0 + 2 * l1 * g1 + g2),
-        )
+        ujet = jet_chain((g0, u1, u2), w_derivs)
+        return ujet if power is None else jet_product(power, ujet)
 
 
 @dataclass(frozen=True)
@@ -154,13 +153,7 @@ def evaluate(sol: DcheSolution, z):
                 f"(needs sign {sol.halfplane_sign:+d})",
                 SectorWarning,
             )
-    s0, s1, s2 = _term_sums(sol, z, many)
-    p, dp, d2p = sol.gauge.prefactor_derivatives(z)
-    return (
-        p * s0,
-        dp * s0 + p * s1,
-        d2p * s0 + 2 * dp * s1 + p * s2,
-    )
+    return jet_product(sol.gauge.prefactor_derivatives(z), _term_sums(sol, z, many))
 
 
 def _term_sums(sol: DcheSolution, z, many: bool):
