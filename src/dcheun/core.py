@@ -8,6 +8,13 @@ with B1 != 0 and omega != 0; both singular points (0 and infinity) are
 irregular.  Degenerate parameter sets reduce to the confluent
 hypergeometric equation or to a constant-coefficient equation and are
 handled by :func:`reduce_degenerate`.
+
+Derivatives are carried as jets (value, d1, d2).  Every product, chain
+or exponential rule on them in the package is one of three functions:
+``jet_product`` (the product rule), ``jet_chain`` (the chain rule
+through a change of variable) and ``jet_exp`` (a prefactor from its
+logarithmic derivatives).  A ``GaugeMap`` gives its prefactor's jet and
+carries a solution's jet through its change of variable.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .tolerances import CONSTRAINT_TOL
 def _c(x) -> complex:
     z = complex(x)
     if not cmath.isfinite(z):
-        raise DomainError(f"non-finite parameter {x!r}")
+        raise DomainError(f"non-finite value {x!r}")
     return z
 
 

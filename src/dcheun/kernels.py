@@ -7,6 +7,12 @@ checks the adjoint-operator identity with exact derivatives, performs the
 transform quadrature, monitors the boundary ('integrated') terms, and
 verifies the closed-form integrals the derivations rest on.
 
+A kernel is K = Pz(z) Pt(t) (xi - 1)^pw, its two factors given as
+``GaugeMap`` objects, so its jets in z and in t come from the gauges'
+``prefactor_derivatives`` and core's jet rules.  The adjoint identity
+applies ``core.residual`` at the parameters with B3 = 0 in z, and at the
+r2 image of those parameters, the formal adjoint, in t.
+
 A kernel kind is described once, by its sign (+1 for K1, -1 for K2) and
 its power exponent: the half-plane and parameter conditions, the
 contour variable and the predicted boundary decay all follow from those

@@ -10,8 +10,11 @@ two series pieces when they do not terminate) and checks the regularity
 conditions psi(u) -> 0 as u -> +-infinity.  Also provides the parameter
 maps for two radial potentials that reduce to the algebraic normal forms.
 
-An eigenfunction's psi, like ``potential``, takes a float u or a float
-array; ``schrodinger_residual`` evaluates psi once on its whole grid.
+An eigenfunction's psi is the pair member carried to u by the gauge
+z^{(B2-1)/2} e^{-B1/(2z)} and z = e^u, with derivatives from core's jet
+rules.  The parity-resolved psi at C = 0 is the even or odd part of that
+psi, (psi(-u) +- psi(u))/2.  An eigenfunction's psi, like ``potential``,
+takes a float u or a float array; ``schrodinger_residual`` evaluates psi once on its whole grid.
 ``regularity_check`` stays pointwise: it accepts any scalar psi and
 catches OverflowError point by point.
 """

@@ -293,9 +293,6 @@ class EigenResult:
     certified: bool
     products: list = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 def _tridiag_matrix(coeffs: ThreeTermCoeffs, size: int) -> np.ndarray:
     """Rows 0..size-1: diagonal beta(j), superdiagonal alpha(j), subdiagonal gamma(j).

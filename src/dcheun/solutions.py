@@ -45,6 +45,7 @@ from .core import (
     jet_chain,
     jet_exp,
     jet_product,
+    residual_parts,
 )
 from .errors import DenominatorError, DomainError, NoConvergence, SectorWarning
 from .recurrence import (
@@ -57,7 +58,7 @@ from .recurrence import (
     generate_two_sided,
 )
 from .specialfn import u_ladder
-from .tolerances import CHAR_VALUE_WARN, DEN_TOL, SERIES_TOL, TRUNC_TOL
+from .tolerances import CHAR_VALUE_WARN, DEN_TOL, MEMBER_PROBE_TOL, SERIES_TOL, TRUNC_TOL
 
 
 @dataclass(frozen=True)
@@ -434,19 +435,23 @@ def _check_phase(nu: complex, one_sided: bool, remedy: str) -> Optional[int]:
 def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 40):
     """Two-sided Coulomb pair with phase parameter nu.
 
-    ``nu`` should solve the two-tail characteristic equation; a residual
-    check is performed and a warning issued if it fails.  The sum runs
-    over n = -window .. window.  Nothing checks that the end terms are
-    small: at 24 terms a side, pairs at |z| ~ 1 can miss 1e-8 in the
-    equation residual with no warning.  A nu with 2 nu within 2e-9 of an
-    integer raises DenominatorError, at any window: the tails' continued
-    fractions run on past it.  Pair 2 is the r2 image of pair 1.
+    ``nu`` should solve the two-tail characteristic equation; when it
+    does not, a warning is issued and the members do not solve the
+    equation.  A root is checked on its members too: each is evaluated at
+    z = B1/|B1|, and a relative equation residual above 1e-8 there raises
+    NoConvergence, whose message gives the distance of 2 nu from the
+    nearest integer.  This catches the roots that ``char_root`` accepts
+    next to the half-integer lattice.  The sum runs over
+    n = -window .. window.  A nu with 2 nu within 2e-9 of an integer
+    raises DenominatorError, at any window: the tails' continued fractions
+    run on past it.  Pair 2 is the r2 image of pair 1.
     """
     if pair_id == 2:
         return _rule_image(build_pair_coulomb_nu, "r2", 1, 2, params, nu, window)
     nu = complex(nu)
     tc = coulomb_nu_coeffs(pair_id, params, nu)
     _check_phase(nu, False, "shift nu to the companion characteristic root")
+    pair = _coulomb_pair(params, nu, generate_two_sided(tc, window=window))
     cv = char_value(tc)
     if abs(cv) > CHAR_VALUE_WARN * max(1.0, abs(tc.beta(0))):
         warnings.warn(
@@ -454,7 +459,17 @@ def build_pair_coulomb_nu(pair_id: int, params: DcheParams, nu, window: int = 40
             f"(|value| = {abs(cv):.2e}); series will not solve the equation",
             UserWarning,
         )
-    return _coulomb_pair(params, nu, generate_two_sided(tc, window=window))
+        return pair
+    z0 = params.b1 / abs(params.b1)
+    for member in pair:
+        res, scale = residual_parts(params, member, z0)
+        if abs(res) > MEMBER_PROBE_TOL * scale:
+            raise NoConvergence(
+                f"the {member.variant} member misses the equation at z = B1/|B1| "
+                f"(relative residual {abs(res) / scale:.2e}); 2 nu is "
+                f"{abs(2 * nu - round(2 * nu.real)):.2e} from the nearest integer"
+            )
+    return pair
 
 
 # Truncated (one-sided) Coulomb pairs: rows of the table at a fixed phase.

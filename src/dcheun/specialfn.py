@@ -41,6 +41,7 @@ from functools import cache
 
 import numpy as np
 
+from .core import _c
 from .errors import BranchError, DomainError, NoConvergence, PoleError, QuadratureError
 from .quadrature import exp_sinh
 from .tolerances import (
@@ -55,13 +56,6 @@ from .tolerances import (
     MAGNITUDE_FLOOR,
     POLE_TOL,
 )
-
-
-def _as_complex(x) -> complex:
-    z = complex(x)
-    if not (cmath.isfinite(z)):
-        raise DomainError(f"non-finite argument {x!r}")
-    return z
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -80,7 +74,7 @@ def _scipy_special():
 
 def gamma(z) -> complex:
     """Complex gamma function, >= 12 significant digits for |z| <= 50."""
-    z = _as_complex(z)
+    z = _c(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
     return complex(_scipy_special().gamma(z))
@@ -88,7 +82,7 @@ def gamma(z) -> complex:
 
 def rgamma(z) -> complex:
     """Reciprocal gamma 1/gamma(z); entire, zero at the poles of gamma."""
-    return complex(_scipy_special().rgamma(_as_complex(z)))
+    return complex(_scipy_special().rgamma(_c(z)))
 
 
 def laguerre(l: int, alpha, y) -> complex:
@@ -99,8 +93,8 @@ def laguerre(l: int, alpha, y) -> complex:
     """
     if l < 0 or int(l) != l:
         raise DomainError(f"polynomial degree must be a nonnegative integer, got {l}")
-    alpha = _as_complex(alpha)
-    y = _as_complex(y)
+    alpha = _c(alpha)
+    y = _c(y)
     if l == 0:
         return 1.0 + 0.0j
     prev, cur = 1.0 + 0.0j, 1.0 + alpha - y
@@ -115,9 +109,9 @@ def kummer_transform(a, b, y):
     Returns ``(a', b', prefactor_exponent)`` = (1+a-b, 2-b, 1-b).  Applying
     the map twice composes to the identity with total exponent 0.
     """
-    a = _as_complex(a)
-    b = _as_complex(b)
-    _as_complex(y)
+    a = _c(a)
+    b = _c(b)
+    _c(y)
     return 1 + a - b, 2 - b, 1 - b
 
 
@@ -261,9 +255,9 @@ def hyp_u(a, b, z) -> complex:
     NoConvergence
         when the Laplace integral, the last route, does not converge.
     """
-    a = _as_complex(a)
-    b = _as_complex(b)
-    z = _as_complex(z)
+    a = _c(a)
+    b = _c(b)
+    z = _c(z)
     if z == 0:
         raise BranchError("U(a, b, z) has a branch point at z = 0")
     # Polynomial degeneration: exact for a in {0, -1, -2, ...}.
@@ -291,8 +285,8 @@ def hyp_u_dz(a, b, z, order: int = 1) -> complex:
     parameter shift d^k/dz^k U(a,b,z) = (-1)^k (a)_k U(a+k, b+k, z), DLMF 13.3.22."""
     if order < 0 or int(order) != order:
         raise DomainError(f"derivative order must be a nonnegative integer, got {order}")
-    a = _as_complex(a)
-    b = _as_complex(b)
+    a = _c(a)
+    b = _c(b)
     c = 1.0 + 0.0j
     for j in range(int(order)):
         c *= -(a + j)
@@ -334,9 +328,9 @@ def u_ladder(a0, b0, db: int, w, n_lo: int, count: int):
     steps cross a = -1, whose factor a + 1 = 0 drops the seed's
     transcendental part exactly.
     """
-    a0 = _as_complex(a0)
-    b0 = _as_complex(b0)
-    w = _as_complex(w)
+    a0 = _c(a0)
+    b0 = _c(b0)
+    w = _c(w)
     if count < 1:
         raise DomainError(f"ladder needs at least one term, got {count}")
     n_hi = n_lo + count - 1
@@ -400,9 +394,9 @@ def _ladder_2(a, b, w, seeds, count):
 
 def whittaker_w(kappa, mu, y) -> complex:
     """Irregular Whittaker function W_{kappa,mu}(y) expressed through U."""
-    kappa = _as_complex(kappa)
-    mu = _as_complex(mu)
-    y = _as_complex(y)
+    kappa = _c(kappa)
+    mu = _c(mu)
+    y = _c(y)
     if y == 0:
         raise BranchError("W_{kappa,mu}(y) has a branch point at y = 0")
     return (

@@ -153,6 +153,13 @@ DEN_TOL = 1e-9
 # equation, and neither do the members.
 CHAR_VALUE_WARN = 1e-6
 
+# build_pair_coulomb_nu evaluates each member once at z = B1/|B1| and
+# raises when the equation residual there exceeds this, relative to the
+# largest of its three terms.  Members at a true root sit far below it;
+# members at a phase next to the lattice that char_root accepts read 0.07
+# to 1.3.
+MEMBER_PROBE_TOL = 1e-8
+
 # --- kernels -----------------------------------------------------------------
 
 # A kernel evaluation this close to the branch point xi = 1 raises

@@ -11,6 +11,9 @@ from dcheun.core import (
     VarMap,
     apply_rule,
     gswe_special_maps,
+    jet_chain,
+    jet_exp,
+    jet_product,
     normal_form,
     reduce_degenerate,
     residual,
@@ -49,6 +52,41 @@ def test_residual_rejects_origin():
     p = DcheParams(1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         residual(p, lambda z: (1.0, 0.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("z", [1.3 - 0.4j, np.array([0.7 + 0.2j, -1.1 + 0.9j, 2.5j])])
+def test_jet_exp_and_product_against_closed_forms(z):
+    # P = e^{a z} z^p: P' and P'' written out term by term
+    a, p = 0.6 - 1.2j, 1.7 + 0.4j
+    ez, zp = np.exp(a * z), np.exp(p * np.log(z))
+    closed = (
+        ez * zp,
+        ez * (a * zp + p * zp / z),
+        ez * (a * a * zp + 2 * a * p * zp / z + p * (p - 1) * zp / (z * z)),
+    )
+    by_log = jet_exp(ez * zp, a + p / z, -p / (z * z))
+    by_product = jet_product(
+        (ez, a * ez, a * a * ez), (zp, p * zp / z, p * (p - 1) * zp / (z * z))
+    )
+    for got in (by_log, by_product):
+        for g, c in zip(got, closed):
+            assert np.all(np.abs(g - c) <= 1e-13 * np.abs(c))
+
+
+def test_jet_chain_against_closed_form():
+    # F(c/z) with F = sin: d/dz = -c cos(c/z)/z^2,
+    # d2/dz2 = 2c cos(c/z)/z^3 - c^2 sin(c/z)/z^4
+    c, z = 0.8 + 0.3j, -0.9 + 1.4j
+    w = c / z
+    closed = (
+        cmath.sin(w),
+        -c * cmath.cos(w) / z**2,
+        2 * c * cmath.cos(w) / z**3 - c * c * cmath.sin(w) / z**4,
+    )
+    sin_jet = (cmath.sin(w), cmath.cos(w), -cmath.sin(w))
+    got = jet_chain(sin_jet, VarMap("inversion", c).derivatives(z))
+    for g, want in zip(got, closed):
+        assert abs(g - want) <= 1e-14 * abs(want)
 
 
 def test_residual_on_explicit_function():

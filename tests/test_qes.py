@@ -31,6 +31,7 @@ from dcheun.qes import (
     schrodinger_residual,
 )
 from dcheun.recurrence import _tridiag_matrix
+from dcheun.solutions import build_pair_power
 
 from conftest import fd_schrodinger_spectrum
 
@@ -142,6 +143,43 @@ def test_parity_resolved_eigenfunctions():
     for energy, parity in ((-1.25, "ODD"), (0.75, "EVEN")):
         with pytest.raises(DomainError):
             eigenfunction(prob, energy, parity=parity)
+
+
+def cosh_sinh_sum(prob, energy, parity, u):
+    """psi, psi', psi'' of e^{-(B/2) cosh u} sum_n b_n (B/2)^{-n} h((n-s)u),
+    h = cosh (EVEN) or sinh (ODD), with b_n the terminating pair-1 series."""
+    B, s = prob.B, prob.s
+    seq = build_pair_power(1, problem_params(prob, energy))[0].coeffs
+    sv = sd = sd2 = 0.0
+    for n in range(seq.n_max + 1):
+        c, k = seq.b(n) * (B / 2) ** (-n), n - s
+        h, hp = np.cosh(k * u), np.sinh(k * u)
+        if parity == "ODD":
+            h, hp = hp, h
+        sv, sd, sd2 = sv + c * h, sd + c * k * hp, sd2 + c * k * k * h
+    pre, g, gp = np.exp(-(B / 2) * np.cosh(u)), -(B / 2) * np.sinh(u), -(B / 2) * np.cosh(u)
+    return pre * sv, pre * (g * sv + sd), pre * ((g * g + gp) * sv + 2 * g * sd + sd2)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
+def test_parity_parts_match_the_cosh_sinh_sum(s):
+    # the parity parts are reflections of the member's own psi; the
+    # written-out even/odd sums are the oracle
+    prob = QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=s)
+    u = np.linspace(-4.0, 4.0, 33)
+    built = 0
+    for energy in qes_spectrum(prob).energies:
+        for parity in ("EVEN", "ODD"):
+            try:
+                efn = eigenfunction(prob, energy, parity=parity)
+            except DomainError:
+                continue
+            want = cosh_sinh_sum(prob, energy, parity, u)
+            scale = np.abs(want[0]).max()
+            for got, ref in zip(efn.psi(u), want):
+                assert np.abs(got - ref).max() <= 1e-12 * scale, (energy, parity)
+            built += 1
+    assert built == 2 * s + 1
 
 
 def test_non_eigenvalue_rejected():

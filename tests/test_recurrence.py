@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcheun.core import DcheParams
-from dcheun.errors import GenerationError, NoConvergence, TheoremViolation
+from dcheun.errors import CFBreakdownError, GenerationError, NoConvergence, TheoremViolation
 from dcheun.recurrence import (
     ThreeTermCoeffs,
     char_root,
@@ -100,6 +100,13 @@ def test_lentz_raises_when_rows_run_out():
     # real iterates never settle
     with pytest.raises(NoConvergence):
         lentz(lambda j: -2.0, lambda j: 1.0, 40, 1e-14)
+
+
+def test_lentz_raises_when_the_value_overflows():
+    # 1/(1e-300 + 1/(1e-300 + ...)) settles near 1, but Lentz's first row
+    # multiplies its 1e-30 start by 1e30 / 1e-300, past the double range
+    with pytest.raises(CFBreakdownError):
+        lentz(lambda j: 1.0, lambda j: 1e-300, 400, 1e-14)
 
 
 def test_generate_minimal_raises_without_minimal_solution():

@@ -202,6 +202,23 @@ def test_coulomb_nu_default_window_meets_the_residual():
     assert rel_residual(p, short, -1.5) > 1e-8
 
 
+def test_root_next_to_the_lattice_raises():
+    # a coulomb_nu_1 draw of the series census (seed 1003): the root search
+    # accepts nu with 2 nu 1.1e-8 from -2, past the 1e-9 pole guard, and the
+    # members used to come back without a warning, with relative residuals
+    # of 0.08 and 0.27 at z = B1/|B1|
+    p = DcheParams(
+        1.391959421017568 + 0.3217120594430496j, 0.902315182539914,
+        -0.5474456808700738 - 0.5210844436561948j, 0.8744946754061891 - 0.20467379715245282j,
+        0.7765884038415649 - 0.06722478228754758j,
+    )
+    nu = -0.9999999955125434 + 3.201884209057104e-09j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="1.10e-08 from the nearest integer"):
+            build_pair_coulomb_nu(1, p, nu)
+
+
 def test_sector_warning_on_wrong_halfplane(rng):
     # the member at zero needs s*Re(B1/z) > 0: s = +1 for pairs 1 and 3,
     # and pairs 2 and 4, the r2 images (B1 -> -B1), need s = -1
