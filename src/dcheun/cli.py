@@ -226,8 +226,9 @@ def _suite_rules(rng: random.Random, tol: float, checks: list) -> None:
     checks.append({"check": "r1_fixed_point_2_2_5_1_0", "passed": bool(fixed)})
 
     # covariance: a solution of the transformed equation, carried back by
-    # the gauge, must solve the original equation
-    worst = 0.0
+    # the gauge, must solve the original equation; a draw whose root
+    # cannot be found fails the check, as in the pairs suite
+    worst, raised = 0.0, False
     for _ in range(3):
         p = _draw_params(rng)
         p2, gauge = apply_rule("r2", p)
@@ -238,6 +239,7 @@ def _suite_rules(rng: random.Random, tol: float, checks: list) -> None:
         try:
             root = char_root(fac, p2.b3)
         except DcheunError:
+            raised = True
             continue
         p2t = p2.with_b3(root.x)
         u_inf, _ = build_pair_power(1, p2t)
@@ -246,9 +248,12 @@ def _suite_rules(rng: random.Random, tol: float, checks: list) -> None:
         for z in (0.9, 1.4 + 0.3j):
             res, scale = residual_parts(pt, back, z)
             worst = max(worst, abs(res) / max(scale, MAGNITUDE_FLOOR))
-    checks.append(
-        {"check": "r2_covariance_residual", "passed": bool(worst < tol), "value": worst}
-    )
+    if raised:
+        checks.append({"check": "r2_covariance_residual", "passed": False})
+    else:
+        checks.append(
+            {"check": "r2_covariance_residual", "passed": bool(worst < tol), "value": worst}
+        )
 
 
 def _suite_kernels(rng: random.Random, checks: list, fault: float) -> None:

@@ -55,6 +55,7 @@ from .tolerances import (
     MATCH_U,
     MISMATCH_TOL,
     PARITY_PROBE_TOL,
+    PARITY_PROBE_U,
     TAIL_FRAC,
     TAIL_U,
 )
@@ -347,11 +348,12 @@ def eigenfunction(
                 raise DomainError("parity combinations exist only for C = 0")
             if parity not in ("EVEN", "ODD"):
                 raise ValueError("parity must be EVEN or ODD")
+            # the combination of the wrong parity cancels identically: to
+            # rounding of psi(u) and psi(-u) at the same points
+            u = np.array(PARITY_PROBE_U)
+            scale = max(np.abs(psi(u)[0]).max(), np.abs(psi(-u)[0]).max())
             psi = _parity_part(psi, parity)
-            # the combination of the wrong parity cancels identically
-            probe = max(abs(psi(u)[0]) for u in (0.4, 0.9, 1.7))
-            scale = max(abs(v) for v in seq.values)
-            if probe < PARITY_PROBE_TOL * scale:
+            if np.abs(psi(u)[0]).max() < PARITY_PROBE_TOL * scale:
                 raise DomainError(
                     f"the {parity} combination vanishes at energy {energy}; "
                     "the eigenfunction has the opposite parity"

@@ -54,6 +54,10 @@ from .tolerances import (
     KUMMER_MAX_TERMS,
     LADDER_GAP,
     MAGNITUDE_FLOOR,
+    MILLER_DEPTH_SCALE,
+    MILLER_MAX_DEPTH,
+    MILLER_MIN_Z,
+    MILLER_RESCUE_Z,
     POLE_TOL,
 )
 
@@ -204,6 +208,48 @@ def _u_connection(a: complex, b: complex, z: complex):
     return val, err / max(abs(val), MAGNITUDE_FLOOR)
 
 
+def _u_miller(a: complex, b: complex, z: complex):
+    """U by Miller's backward recurrence in a; returns (value, relative error estimate).
+
+    The terms h_n = (a)_n (a-b+1)_n / n! U(a+n, b, z) sum to z^(-a)
+    (Temme, Numer. Math. 41 (1983) 63-82) and solve DLMF 13.3.7 in the form
+    (a+n-1)(a-b+n) h_{n-1} = n (2a + 2n + z - b) h_n - n (n+1) h_{n+1},
+    in which they are the minimal solution.  Run down from h_{N+1} = 0,
+    h_N = 1, the recurrence gives them up to one factor, which the sum
+    fixes: U = z^(-a) h_0 / sum h_n.  No Gamma function enters, and b may
+    sit on an integer.  The depth N is taken from |z| and Re(a - b/2) (see
+    ``MILLER_DEPTH_SCALE``) and doubled while h_N is above eps of the sum;
+    the route raises NoConvergence past ``MILLER_MAX_DEPTH``, or when the
+    terms overflow.  Each h_k carries about k + 1 roundings, so the
+    estimate is eps sum (k+1) |h_k| plus the tail beyond N, both against
+    the sum, plus the rounding of z^(-a).  The caller keeps a and a - b + 1
+    off the nonpositive integers, where a step divides by zero.
+    """
+    rz = abs(z) * math.cos(cmath.phase(z) / 2) ** 2
+    power = max(a.real - b.real / 2, 0.0)
+    depth = math.ceil((math.sqrt(MILLER_DEPTH_SCALE) + 2 * power) ** 2 / rz)
+    c = a - b
+    while depth <= MILLER_MAX_DEPTH:
+        up, h, total = 0j, 1.0 + 0.0j, 1.0 + 0.0j
+        bound = depth + 1.0
+        for n in range(depth, 0, -1):
+            up, h = h, n * ((2 * (a + n) + z - b) * h - (n + 1) * up) / ((a + n - 1) * (c + n))
+            total += h
+            bound += n * abs(h)
+        if not math.isfinite(bound):
+            raise NoConvergence(f"Miller recurrence for U({a}, {b}, {z}) overflowed at {depth}")
+        if EPS * abs(total) >= 1.0:
+            log_z = cmath.log(z)
+            # the terms beyond N fall like e^(-2 sqrt(n z)): their sum is about
+            # h_N (1 + 2 sqrt(N / |z| cos^2))
+            tail = 1.0 + 2.0 * math.sqrt(depth / rz)
+            # z^(-a) = exp(-a log z): log z and the product each round
+            err = (EPS * bound + tail) / abs(total) + 2 * EPS * abs(a * log_z)
+            return cmath.exp(-a * log_z) * h / total, err
+        depth *= 2
+    raise NoConvergence(f"Miller recurrence for U({a}, {b}, {z}) needs over {depth // 2} terms")
+
+
 def _u_laplace(a: complex, b: complex, z: complex) -> complex:
     """U by its Laplace integral on the exp-sinh rule (DLMF 13.4.4).
 
@@ -240,8 +286,23 @@ def _u_laplace(a: complex, b: complex, z: complex) -> complex:
     return cur
 
 
+def _u_polynomial(a: complex, b: complex, z: complex) -> complex:
+    """U(-l, b, z) = (-1)^l l! L_l^(b-1)(z), exact for a = -l in {0, -1, -2, ...}."""
+    l = int(round(-a.real))
+    sign = -1.0 if l % 2 else 1.0
+    fact = 1.0
+    for k in range(2, l + 1):
+        fact *= k
+    return sign * fact * laguerre(l, b - 1, z)
+
+
 def hyp_u(a, b, z) -> complex:
     """Irregular confluent hypergeometric function U(a, b, z), principal branch.
+
+    When a or a - b + 1 is zero or a negative integer, U is a polynomial
+    (times z^(1-b) in the second case, by ``kummer_transform``); that is
+    checked before any other route, and keeps Miller's recurrence, which
+    divides by a + n - 1 and a - b + n, off those lattices.
 
     Parameters
     ----------
@@ -260,24 +321,35 @@ def hyp_u(a, b, z) -> complex:
     z = _c(z)
     if z == 0:
         raise BranchError("U(a, b, z) has a branch point at z = 0")
-    # Polynomial degeneration: exact for a in {0, -1, -2, ...}.
     if _is_nonpositive_integer(a):
-        l = int(round(-a.real))
-        sign = -1.0 if l % 2 else 1.0
-        fact = 1.0
-        for k in range(2, l + 1):
-            fact *= k
-        return sign * fact * laguerre(l, b - 1, z)
+        return _u_polynomial(a, b, z)
+    a2, b2, power = kummer_transform(a, b, z)
+    if _is_nonpositive_integer(a2):
+        return cmath.exp(power * cmath.log(z)) * _u_polynomial(a2, b2, z)
 
+    miller = z.real > 0 and abs(z) >= MILLER_RESCUE_Z
     if abs(z) >= ASYMPTOTIC_CUTOFF:
         val, err = _u_asymptotic(a, b, z)
+    elif miller and abs(z) >= MILLER_MIN_Z:
+        val, err = _u_miller_or_miss(a, b, z)
     elif abs(b - round(b.real)) < INTEGER_B_WINDOW:
         return _u_laplace(a, b, z)
     else:
         val, err = _u_connection(a, b, z)
+        if err >= FALLBACK_TOL and miller:
+            val, err = _u_miller_or_miss(a, b, z)
     if err < FALLBACK_TOL:
         return val
     return _u_laplace(a, b, z)
+
+
+def _u_miller_or_miss(a: complex, b: complex, z: complex):
+    """Miller's (value, estimate), with an infinite estimate past its depth cap,
+    so that the Laplace route takes over."""
+    try:
+        return _u_miller(a, b, z)
+    except NoConvergence:
+        return math.nan, math.inf
 
 
 def hyp_u_dz(a, b, z, order: int = 1) -> complex:

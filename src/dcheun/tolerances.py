@@ -103,9 +103,31 @@ ASYMPTOTIC_MAX_TERMS = 120
 # |z| < 30 the terms fall below eps well before it.
 KUMMER_MAX_TERMS = 700
 
-# A connection or asymptotic U whose relative error estimate reaches this
-# takes the Laplace route instead.
+# A connection, Miller or asymptotic U whose relative error estimate
+# reaches this takes the Laplace route instead.
 FALLBACK_TOL = 1e-11
+
+# U takes Miller's recurrence for |z| from this up to ASYMPTOTIC_CUTOFF in
+# the right half-plane: there the connection's two terms cancel past
+# FALLBACK_TOL, while the recurrence's terms fall fast enough in n.
+MILLER_MIN_Z = 5.0
+
+# Below MILLER_MIN_Z, a right half-plane connection miss at |z| from this
+# up tries Miller's recurrence before the Laplace route: at 2 <= |z| < 5 it
+# settles at about half the Laplace route's cost.
+MILLER_RESCUE_Z = 2.0
+
+# Miller's a-priori depth is (sqrt(this) + 2 max(Re(a - b/2), 0))^2 / (|z|
+# cos^2(arg z / 2)).  The sum's terms fall like n^(a - b/2) e^(-2 sqrt(n z));
+# at a = b/2 that depth makes e^(-2 sqrt(n z)) = e^(-42), past eps with a
+# margin, and the second term moves it as far past the power's peak.
+MILLER_DEPTH_SCALE = 450.0
+
+# Cap on Miller's depth, which doubles while its top term is above eps of
+# the sum; past it the route raises NoConvergence.  The depth reaches it
+# only for Re a in the tens with z near the imaginary axis, where the
+# rounding bound misses FALLBACK_TOL anyway.
+MILLER_MAX_DEPTH = 4096
 
 # Relative error allowed for a product of two of SciPy's complex Gamma
 # values (up to about 2.5e-15 against mpmath on the connection
@@ -210,9 +232,16 @@ TAIL_FRAC = 1e-6
 # derivative mismatch exceeds this (the default of ``mismatch_tol``).
 MISMATCH_TOL = 1e-6
 
-# A parity combination whose probe values are below this fraction of the
-# largest coefficient cancels identically: it has the other parity.
-PARITY_PROBE_TOL = 1e-12
+# A parity combination whose values at PARITY_PROBE_U are below this
+# fraction of the larger of |psi(u)|, |psi(-u)| there is not the
+# eigenfunction's parity.  The right parity keeps all of psi (ratio above
+# 0.9999 for B in [0.3, 5], s <= 4).  The wrong one is rounding, or, at a
+# near-degenerate doublet, the level's error over the splitting: up to
+# 2e-5 at B = 0.3, s = 4, where the splitting is 8e-10.
+PARITY_PROBE_TOL = 1e-3
+
+# u at which the parity probe compares a combination with psi itself.
+PARITY_PROBE_U = (0.4, 0.9, 1.7)
 
 # --- cli ---------------------------------------------------------------------
 

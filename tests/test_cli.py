@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import dcheun.recurrence
 import dcheun.solutions
 from dcheun.cli import format_complex, main, parse_complex
+from dcheun.errors import NoConvergence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -199,6 +201,21 @@ def test_verify_kernel_fault_injection_fails(capsys):
     )
     assert code != 0
     assert json.loads(out)["passed"] is False
+
+
+def test_rules_covariance_fails_when_every_root_raises(capsys, monkeypatch):
+    # a draw whose root cannot be found is no pass: with every draw raising,
+    # the covariance check once passed with value 0.0
+    def no_root(*args, **kwargs):
+        raise NoConvergence("no root")
+
+    monkeypatch.setattr(dcheun.recurrence, "char_root", no_root)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "rules", "--seed", "7")
+    assert code != 0
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    (rec,) = [r for r in payload["records"] if r["check"] == "r2_covariance_residual"]
+    assert rec["passed"] is False
 
 
 def test_verify_output_deterministic(capsys):

@@ -182,6 +182,37 @@ def test_parity_parts_match_the_cosh_sinh_sum(s):
     assert built == 2 * s + 1
 
 
+@pytest.mark.parametrize("B, s, level", [(0.7, 2.0, 0), (2.0, 3.0, 0)])
+def test_wrong_parity_of_a_tiny_psi_raises(B, s, level):
+    # the lowest levels here are EVEN; their ODD parts once came back as
+    # cancellation noise (max|psi| 2.3e-12 at B = 0.7, E = -4.1737), small
+    # against psi but not against the largest coefficient
+    prob = QesProblem("DOUBLE_MORSE", B=B, C=0.0, s=s)
+    energy = sorted(qes_spectrum(prob).energies, key=lambda e: e.real)[level]
+    assert abs(energy - {0.7: -4.1736689022426, 2.0: -10.2495}[B]) < 1e-4
+    eigenfunction(prob, energy, parity="EVEN")
+    with pytest.raises(DomainError):
+        eigenfunction(prob, energy, parity="ODD")
+
+
+@pytest.mark.parametrize("B", [0.7, 2.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
+def test_each_level_builds_in_exactly_one_parity(B, s):
+    prob = QesProblem("DOUBLE_MORSE", B=B, C=0.0, s=s)
+    u = np.linspace(-4.0, 4.0, 17)
+    for energy in qes_spectrum(prob).energies:
+        built = []
+        for parity, sign in (("EVEN", 1), ("ODD", -1)):
+            try:
+                efn = eigenfunction(prob, energy, parity=parity)
+            except DomainError:
+                continue
+            v = efn.psi(u)[0]
+            assert np.abs(v - sign * v[::-1]).max() <= 1e-10 * np.abs(v).max()
+            built.append(parity)
+        assert len(built) == 1, (energy, built)
+
+
 def test_non_eigenvalue_rejected():
     prob = QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.5)
     with pytest.raises(MatchFailure):

@@ -14,9 +14,10 @@ from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma
 
 import dcheun.specialfn
-from dcheun.errors import BranchError, DomainError, PoleError
+from dcheun.errors import BranchError, DomainError, NoConvergence, PoleError
 from dcheun.specialfn import (
     _u_laplace,
+    _u_miller,
     gamma,
     hyp_u,
     hyp_u_dz,
@@ -25,6 +26,7 @@ from dcheun.specialfn import (
     u_ladder,
     whittaker_w,
 )
+from dcheun.tolerances import FALLBACK_TOL
 
 
 def quad_u(a: float, b: float, y: float) -> float:
@@ -160,6 +162,73 @@ def test_u_on_recorded_connection_misses():
         a, b, z = (complex(*rec[k]) for k in ("a", "b", "z"))
         ref = _mp_u(a, b, z)
         assert abs(hyp_u(a, b, z) - ref) <= 1e-11 * abs(ref), rec
+
+
+def _miller_draws(n: int, seed: int):
+    """(a, b, z) on Miller's domain: Re z > 0 with |z| in [2, 30) (below 5
+    it serves connection misses), Re a in [-1, 30] (ladder seeds sit at
+    Re a ~ |w|), and b an integer, within 1e-8 .. 1e-1 of one, or generic,
+    in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        r = rng.uniform(2.0, 30.0) if i % 4 == 0 else rng.uniform(5.0, 30.0)
+        z = cmath.rect(r, rng.uniform(-0.499, 0.499) * math.pi)
+        a = complex(rng.uniform(-1.0, 30.0), rng.uniform(-1.0, 1.0))
+        n_b = int(rng.integers(-2, 6))
+        if i % 3 == 0:
+            b = complex(n_b)
+        elif i % 3 == 1:
+            b = complex(n_b + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-8.0, -1.0))
+        else:
+            b = complex(rng.uniform(-2.0, 5.0), rng.uniform(-1.0, 1.0))
+        yield a, b, z
+
+
+@pytest.fixture(scope="module")
+def miller_sweep():
+    return [(a, b, z, _mp_u(a, b, z)) for a, b, z in _miller_draws(200, 22)]
+
+
+def test_u_miller_estimate_holds_against_mpmath(miller_sweep):
+    # wherever the estimate passes the gate it bounds the true error; the
+    # draws at large Re a with z near the imaginary axis miss it
+    passed = 0
+    for a, b, z, ref in miller_sweep:
+        try:
+            val, est = _u_miller(a, b, z)
+        except NoConvergence:
+            continue
+        if est < FALLBACK_TOL:
+            passed += 1
+            assert abs(val - ref) <= est * abs(ref), (a, b, z)
+    assert passed >= 150
+
+
+def test_u_on_miller_domain_against_mpmath(miller_sweep):
+    for a, b, z, ref in miller_sweep:
+        assert abs(hyp_u(a, b, z) - ref) <= FALLBACK_TOL * abs(ref), (a, b, z)
+
+
+def test_u_miller_raises_at_its_depth_cap(monkeypatch):
+    a, b, z = 0.7 + 0.2j, 1.5, 8.0 + 1.0j
+    ref = _mp_u(a, b, z)
+    assert abs(_u_miller(a, b, z)[0] - ref) <= 1e-13 * abs(ref)
+    monkeypatch.setattr(dcheun.specialfn, "MILLER_MAX_DEPTH", 16)
+    with pytest.raises(NoConvergence):
+        _u_miller(a, b, z)
+    # U itself then takes the Laplace route
+    assert abs(hyp_u(a, b, z) - ref) <= FALLBACK_TOL * abs(ref)
+
+
+@pytest.mark.parametrize("z", [0.8 + 0.3j, 3.5, 12.0 - 4.0j, -9.0 + 2.0j, 40.0])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_u_where_a_minus_b_plus_1_is_a_nonpositive_integer(m, z):
+    # U(a, b, z) = z^(1-b) U(-m, 2-b, z), a polynomial times a power; a step
+    # of Miller's recurrence would divide by a - b + 1 + m = 0 there
+    for a in (0.35 + 0.4j, 2.6, 11.2 - 0.5j):
+        b = a + 1 + m
+        ref = _mp_u(a, b, z)
+        assert abs(hyp_u(a, b, z) - ref) <= 1e-13 * abs(ref), (a, b)
 
 
 def _ladder_draws(n: int, seed: int):
