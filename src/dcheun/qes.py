@@ -348,8 +348,8 @@ def eigenfunction(
                 raise DomainError("parity combinations exist only for C = 0")
             if parity not in ("EVEN", "ODD"):
                 raise ValueError("parity must be EVEN or ODD")
-            # the combination of the wrong parity cancels identically: to
-            # rounding of psi(u) and psi(-u) at the same points
+            # the combination of the wrong parity cancels: it is judged
+            # against psi(u) and psi(-u) at the same points
             u = np.array(PARITY_PROBE_U)
             scale = max(np.abs(psi(u)[0]).max(), np.abs(psi(-u)[0]).max())
             psi = _parity_part(psi, parity)

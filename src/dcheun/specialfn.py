@@ -5,22 +5,28 @@ hypergeometric function U(a, b, z) on its principal branch, generalized
 Laguerre polynomials for complex parameters, and the Kummer
 transformation that connects alternative forms of U.
 
-U(a, b, z) is evaluated by one of four routes:
+U(a, b, z) is evaluated by one of five routes:
 
-1. exact polynomial path when ``a`` is zero or a negative integer,
-   via U(-l, 1+alpha, y) = (-1)^l l! L_l^alpha(y);
-2. for |z| < 30, the two-term connection through the regular Kummer
-   function M;
-3. for |z| >= 30, the asymptotic descending series truncated at its
+1. exact polynomial path when ``a`` or ``a - b + 1`` is zero or a negative
+   integer, via U(-l, 1+alpha, y) = (-1)^l l! L_l^alpha(y) and, in the
+   second case, the Kummer relation U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z);
+2. for |z| < 5, and for |z| < 30 in the left half-plane, the two-term
+   connection through the regular Kummer function M;
+3. for 5 <= |z| < 30 with Re z > 0, Miller's backward recurrence in
+   ``a`` on the terms of a sum that adds up to z^(-a), whatever b is; it
+   also takes over connection misses at 2 <= |z| < 5 with Re z > 0;
+4. for |z| >= 30, the asymptotic descending series truncated at its
    smallest term;
-4. the Laplace integral on the exp-sinh rule, recurred down in ``a``
-   for Re a < 1.  It serves b next to an integer, where both connection
-   terms have poles, and every point where route 2 or 3 estimates its
-   error above 1e-11.
+5. the Laplace integral on the exp-sinh rule, recurred down in ``a``
+   for Re a < 1.  It serves b next to an integer at |z| < 5 or in the
+   left half-plane, where both connection terms have poles, and every
+   point where routes 2-4 estimate their error above 1e-11 or Miller's
+   recurrence reaches its depth cap.
 
-Routes 2 and 3 return an error estimate that includes the rounding of
+Routes 2, 3 and 4 return an error estimate that includes the rounding of
 their running products and, for route 2, of the Gamma coefficients, so
-it grows with the cancellation between the two connection terms.
+it grows with the cancellation between the two connection terms.  Route
+3 uses no Gamma function.
 
 U is computed on every call; nothing is kept between calls.  Along the
 terms of a series, ``u_ladder`` gives U at (a0 + n, b0 + n) or
@@ -323,8 +329,8 @@ def hyp_u(a, b, z) -> complex:
         raise BranchError("U(a, b, z) has a branch point at z = 0")
     if _is_nonpositive_integer(a):
         return _u_polynomial(a, b, z)
-    a2, b2, power = kummer_transform(a, b, z)
-    if _is_nonpositive_integer(a2):
+    if _is_nonpositive_integer(a - b + 1):
+        a2, b2, power = kummer_transform(a, b, z)
         return cmath.exp(power * cmath.log(z)) * _u_polynomial(a2, b2, z)
 
     miller = z.real > 0 and abs(z) >= MILLER_RESCUE_Z

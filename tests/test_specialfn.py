@@ -209,6 +209,20 @@ def test_u_on_miller_domain_against_mpmath(miller_sweep):
         assert abs(hyp_u(a, b, z) - ref) <= FALLBACK_TOL * abs(ref), (a, b, z)
 
 
+def test_u_in_miller_band_needs_no_laplace(monkeypatch):
+    # integer b, b next to an integer, and connection misses at
+    # 2 <= |z| < 5 in the right half-plane: none reaches the Laplace route
+    def no_laplace(a, b, z):
+        raise AssertionError(f"Laplace route taken at {(a, b, z)}")
+
+    monkeypatch.setattr(dcheun.specialfn, "_u_laplace", no_laplace)
+    for a, b, z in ((0.4 + 0.1j, 1.0, 7.5), (0.9, 2.0 + 1e-9, 14.0 - 6.0j),
+                    (-0.3 + 0.5j, -1.0, 29.0 + 1.0j), (1.28 - 0.14j, 0.997 - 0.042j, 2.3 - 0.17j),
+                    (0.66 + 0.014j, 0.953, 4.87)):
+        ref = _mp_u(a, b, z)
+        assert abs(hyp_u(a, b, z) - ref) <= 1e-13 * abs(ref), (a, b, z)
+
+
 def test_u_miller_raises_at_its_depth_cap(monkeypatch):
     a, b, z = 0.7 + 0.2j, 1.5, 8.0 + 1.0j
     ref = _mp_u(a, b, z)
