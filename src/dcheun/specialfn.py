@@ -26,7 +26,8 @@ U(a, b, z) is evaluated by one of five routes:
 Routes 2, 3 and 4 return an error estimate that includes the rounding of
 their running products and, for route 2, of the Gamma coefficients, so
 it grows with the cancellation between the two connection terms.  Route
-3 uses no Gamma function.
+2 takes its four Gamma factors from three Gamma evaluations; route 3
+uses no Gamma function.
 
 U is computed on every call; nothing is kept between calls.  Along the
 terms of a series, ``u_ladder`` gives U at (a0 + n, b0 + n) or
@@ -34,16 +35,15 @@ terms of a series, ``u_ladder`` gives U at (a0 + n, b0 + n) or
 contiguous relations of U, each run from the seed in the direction in
 which U is the dominant solution; its docstring says where the seed sits.
 
-SciPy is not imported with this module: ``gamma`` and ``rgamma`` load
-SciPy's complex ufuncs on their first call, so importing the package
-(and every CLI command that never needs Gamma) stays free of SciPy.
+``gamma`` and ``rgamma`` are Lanczos's approximation with Godfrey's g = 7
+and nine coefficients (``LANCZOS_G7``), and the reflection formula below
+Re z = 1/2, in plain Python: no route of the package imports SciPy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import cache
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .tolerances import (
     INTEGER_B_WINDOW,
     KUMMER_MAX_TERMS,
     LADDER_GAP,
+    LANCZOS_G7,
     MAGNITUDE_FLOOR,
     MILLER_DEPTH_SCALE,
     MILLER_MAX_DEPTH,
@@ -74,25 +75,87 @@ def _is_nonpositive_integer(z: complex) -> bool:
     )
 
 
-@cache
-def _scipy_special():
-    """scipy.special, imported on the first Gamma evaluation, not with the package."""
-    import scipy.special
+_SQRT_2PI = math.sqrt(2 * math.pi)
 
-    return scipy.special
+
+def _lanczos(z: complex):
+    """(s, e) with Gamma(z) = s e^e, for Re z >= 1/2 (``LANCZOS_G7``)."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = LANCZOS_G7
+    p = (((((((p8 * z + p7) * z + p6) * z + p5) * z + p4) * z + p3) * z + p2) * z + p1) * z + p0
+    w = z * (z + 7)  # z (z+1) ... (z+7) = w (w+6) (w+10) (w+12)
+    q = w * (w + 6) * (w + 10) * (w + 12)
+    # t^(z - 1/2) e^(-t) for t = z + 6.5 = (z - 1/2) + 7; smaller terms round
+    return _SQRT_2PI * p / q, (z - 0.5) * (cmath.log(z + 6.5) - 1) - 7
+
+
+def _sinpi(z: complex) -> complex:
+    """sin(pi z) as (-1)^n sin(pi (z - n)), n the integer nearest Re z.
+
+    z - n is exact, so the value keeps its relative accuracy next to the
+    zeros, where sin(pi * z) would carry the rounding of pi * z, and is
+    exactly 0 at the integers.
+    """
+    n = round(z.real)
+    s = cmath.sin(math.pi * (z - n))
+    return -s if n % 2 else s
+
+
+def _gamma(z: complex) -> complex:
+    """Gamma(z) off its poles: the Lanczos sum, by reflection, pi / (sin(pi z)
+    Gamma(1 - z)), below Re z = 1/2.
+
+    On the real axis it is ``math.gamma``, at a quarter of the cost and
+    within 1e-15, where the rounding of the sum's exponent alone reaches
+    4e-14 at z = 60.  The connection's b is real in most calls.
+    """
+    if not z.imag:
+        return complex(math.gamma(z.real))
+    if z.real >= 0.5:
+        s, e = _lanczos(z)
+        return s * cmath.exp(e)
+    s, e = _lanczos(1 - z)
+    return math.pi / (_sinpi(z) * s) * cmath.exp(-e)
+
+
+def _rgamma(z: complex) -> complex:
+    """1 / Gamma(z), exactly 0 at z = 0, -1, -2, ..."""
+    if z.real >= 0.5:
+        s, e = _lanczos(z)
+        return cmath.exp(-e) / s
+    s, e = _lanczos(1 - z)
+    return _sinpi(z) * s * cmath.exp(e) / math.pi
 
 
 def gamma(z) -> complex:
-    """Complex gamma function, >= 12 significant digits for |z| <= 50."""
+    """Complex gamma function, >= 12 significant digits for |z| <= 50.
+
+    The relative error against mpmath is at most 2.1e-13 over 4000 draws
+    on that disk (``LANCZOS_G7``); it is the approximation's own error,
+    which grows with |Im z|.  On the real axis it is ``math.gamma``'s.
+
+    Raises PoleError at 0, -1, -2, ... and DomainError where the value or
+    an intermediate is past the double range: Re z above about 171, or
+    |Im z| above about 225 left of Re z = 1/2.
+    """
     z = _c(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at z = {z}")
-    return complex(_scipy_special().gamma(z))
+    try:
+        return _gamma(z)
+    except OverflowError:
+        raise DomainError(f"gamma({z}) is past the double range") from None
 
 
 def rgamma(z) -> complex:
-    """Reciprocal gamma 1/gamma(z); entire, zero at the poles of gamma."""
-    return complex(_scipy_special().rgamma(_c(z)))
+    """Reciprocal gamma 1/gamma(z); entire, exactly zero at the poles of gamma.
+
+    Raises DomainError where 1/Gamma is past the double range.
+    """
+    z = _c(z)
+    try:
+        return _rgamma(z)
+    except OverflowError:
+        raise DomainError(f"rgamma({z}) is past the double range") from None
 
 
 def laguerre(l: int, alpha, y) -> complex:
@@ -175,25 +238,24 @@ def _u_asymptotic(a: complex, b: complex, z: complex):
     return pref * s, err / max(abs(s), MAGNITUDE_FLOOR)
 
 
-def _gamma_b_minus_1(b: complex) -> complex:
-    """Gamma(b - 1), accurate also near its poles at b = 0, -1, -2, ...
+def _connection_gammas(a: complex, b: complex):
+    """(Gamma(1-b) / Gamma(a-b+1), Gamma(b-1) / Gamma(a)) from three Gamma values.
 
-    For b near n <= 0 the rounded argument b - 1 is off by up to half an
-    ulp of n - 1, which Gamma amplifies by 1/|b - n|; in the connection
-    that error is not cancelled (U(0.5, 1e-5, 0.5) would lose 6 digits).
-    The offset d = b - n is exact, so the pole factors are built from it:
-    Gamma(b - 1) = Gamma(1 + d) / prod_{k=n-1}^{0} (k + d).  The one
-    pole with n > 0 is at b = 1, where b - 1 is itself exact.  The caller
-    keeps b off the integers, so the ufunc is called without pole checks.
+    The two b-dependent values share one, by reflection and
+    Gamma(b) = (b - 1) Gamma(b - 1): for Re b > 1/2 both come from
+    Gamma(b), below from Gamma(1 - b), with Gamma(1 - b) Gamma(b - 1) =
+    pi / (sin(pi b) (b - 1)).  ``_sinpi`` reduces b by its nearest integer
+    n exactly, so next to the poles at b = n both keep their relative
+    accuracy, which the connection does not cancel (U(0.5, 1e-5, 0.5)
+    would otherwise lose 6 digits).  b must be off the integers.
     """
-    n = round(b.real)
-    if n > 0:
-        return complex(_scipy_special().gamma(b - 1))
-    d = b - n
-    den = 1.0 + 0.0j
-    for k in range(n - 1, 1):
-        den *= k + d
-    return complex(_scipy_special().gamma(1 + d)) / den
+    if b.real > 0.5:
+        g = _gamma(b)
+        g1, g2 = math.pi / (_sinpi(b) * g), g / (b - 1)
+    else:
+        g1 = _gamma(1 - b)
+        g2 = math.pi / (_sinpi(b) * (b - 1) * g1)
+    return g1 * _rgamma(a - b + 1), g2 * _rgamma(a)
 
 
 def _u_connection(a: complex, b: complex, z: complex):
@@ -201,14 +263,16 @@ def _u_connection(a: complex, b: complex, z: complex):
 
     The estimate adds the rounding bound of each M series to the error of
     its Gamma coefficient, both scaled by the term's size against the
-    value, so it grows with the cancellation between the two terms.
+    value, so it grows with the cancellation between the two terms.  A
+    Gamma value past the double range makes the call a miss.
     """
     m1, e1 = _kummer_m(a, b, z)
     m2, e2 = _kummer_m(a - b + 1, 2 - b, z)
-    # b is off the integers here, so 1 - b is no pole of Gamma
-    sp = _scipy_special()
-    c1 = complex(sp.gamma(1 - b) * sp.rgamma(a - b + 1))
-    c2 = _gamma_b_minus_1(b) * complex(sp.rgamma(a)) * cmath.exp((1 - b) * cmath.log(z))
+    try:
+        c1, c2 = _connection_gammas(a, b)
+    except OverflowError:
+        return math.nan, math.inf
+    c2 *= cmath.exp((1 - b) * cmath.log(z))
     val = c1 * m1 + c2 * m2
     err = EPS * (abs(c1) * e1 + abs(c2) * e2) + GAMMA_REL * (abs(c1 * m1) + abs(c2 * m2))
     return val, err / max(abs(val), MAGNITUDE_FLOOR)

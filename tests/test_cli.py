@@ -288,10 +288,11 @@ def _imported_modules(importtime_stderr: str) -> list:
 
 
 def test_import_loads_no_scipy():
-    # mpmath is a test oracle only: no library route loads it
+    # mpmath is a test oracle only: no library route loads it, and Gamma is
+    # the package's own
     proc = _python(
         "-c",
-        "import sys, dcheun, dcheun.cli; "
+        "import sys, dcheun, dcheun.cli; dcheun.specialfn.gamma(0.3+1j); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))",
     )
     assert proc.returncode == 0, proc.stderr
@@ -312,8 +313,18 @@ def test_cold_verify_integrals_loads_no_scipy_integrate():
     [
         ["transform", "--rule", "r3", "--params", "2,2,2,i,i"],
         ["verify", "--suite", "rules"],
+        # a member whose U terms take the M connection, and so Gamma
+        ["eval", "--params", "1,0.5,1,i,0.5i", "--pair", "1", "--variant", "zero",
+         "--z", "0.7-0.4i"],
+        ["spectrum", "--potential", "double-morse", "--B", "2", "--C", "0.5", "--s", "0.5"],
+        ["spectrum", "--potential", "double-morse", "--B", "2", "--C", "0.5", "--s", "0.5",
+         "--method", "cf", "--bracket", "-3", "1"],
+        ["verify", "--suite", "pairs"],
+        ["verify", "--suite", "integrals"],
+        ["verify", "--suite", "kernels"],
     ],
-    ids=["transform", "verify_rules"],
+    ids=["transform", "verify_rules", "eval", "spectrum_tridiag", "spectrum_cf",
+         "verify_pairs", "verify_integrals", "verify_kernels"],
 )
 def test_cold_cli_process_loads_no_scipy(argv):
     proc = _python("-X", "importtime", "-m", "dcheun.cli", *argv)
