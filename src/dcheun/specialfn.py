@@ -36,8 +36,9 @@ contiguous relations of U, each run from the seed in the direction in
 which U is the dominant solution; its docstring says where the seed sits.
 
 ``gamma`` and ``rgamma`` are Lanczos's approximation with Godfrey's g = 7
-and nine coefficients (``LANCZOS_G7``), and the reflection formula below
-Re z = 1/2, in plain Python: no route of the package imports SciPy.
+and nine coefficients (``LANCZOS_G7``), with the reflection formula below
+Re z = 1/2; ``gamma`` is ``math.gamma`` on the real axis.  No route of the
+package imports SciPy.
 """
 
 from __future__ import annotations
