@@ -23,8 +23,8 @@ by the bilinear concomitant at its sample points.
 Integrands over (1, inf) are numpy functions of the array of quadrature
 nodes: ``transform`` evaluates the infinity member on each batch of nodes
 in one call, and the boundary terms on all their sample points in one
-call, while the A2, A3 and Whittaker integrands call U once per distinct
-node.
+call.  The A2, A3 and Whittaker integrands call ``hyp_u`` or
+``whittaker_w`` once per batch, on the array of its nodes.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def appendix_integral(which: str, **kw) -> complex:
         raise ConditionError(f"{which} requires Re(mu) > 0 and Re(a) > 0")
     if which == "A2":
         def g(y):
-            return np.exp(-a * y) * _at_nodes(hyp_u, 0.5 - k - l, 1 - 2 * l, a, y)
+            return np.exp(-a * y) * hyp_u(0.5 - k - l, 1 - 2 * l, a * y)
 
         return contour_quad(g, mu - 1)
     if which == "A3":
@@ -366,16 +366,11 @@ def appendix_integral(which: str, **kw) -> complex:
             return (
                 np.exp(-a * y)
                 * np.exp((k + l - mu - 0.5) * np.log(y))
-                * _at_nodes(hyp_u, 0.5 + l - k, 2 * l + 1, a, y)
+                * hyp_u(0.5 + l - k, 2 * l + 1, a * y)
             )
 
         return contour_quad(g, mu - 1)
     raise ValueError("which must be A1, A2 or A3")
-
-
-def _at_nodes(f, first, second, a: complex, y: np.ndarray) -> np.ndarray:
-    """f(first, second, a y) at each node y, one scalar call per node."""
-    return np.array([f(first, second, a * x) for x in y.tolist()])
 
 
 def whittaker_index_check(kappa, lam, mu, a, corrected: bool = True) -> float:
@@ -395,7 +390,7 @@ def whittaker_index_check(kappa, lam, mu, a, corrected: bool = True) -> float:
         return (
             np.exp(-a * y / 2)
             * np.exp((l - 0.5) * np.log(y))
-            * _at_nodes(whittaker_w, k, l, a, y)
+            * whittaker_w(k, l, a * y)
         )
 
     lhs = contour_quad(g, mu - 1)

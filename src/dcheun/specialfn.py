@@ -115,7 +115,10 @@ def _gamma(z: complex) -> complex:
         s, e = _lanczos(z)
         return s * cmath.exp(e)
     s, e = _lanczos(1 - z)
-    return math.pi / (_sinpi(z) * s) * cmath.exp(-e)
+    d = _sinpi(z) * s
+    if cmath.isinf(d):  # sin(pi z) at the edge of the double range
+        raise OverflowError(f"sin(pi z) Gamma(1 - z) overflows at z = {z}")
+    return math.pi / d * cmath.exp(-e)
 
 
 def _rgamma(z: complex) -> complex:
@@ -124,7 +127,10 @@ def _rgamma(z: complex) -> complex:
         s, e = _lanczos(z)
         return cmath.exp(-e) / s
     s, e = _lanczos(1 - z)
-    return _sinpi(z) * s * cmath.exp(e) / math.pi
+    v = _sinpi(z) * s * cmath.exp(e) / math.pi
+    if not cmath.isfinite(v):  # sin(pi z) at the edge of the double range
+        raise OverflowError(f"sin(pi z) Gamma(1 - z) overflows at z = {z}")
+    return v
 
 
 def gamma(z) -> complex:
@@ -134,9 +140,11 @@ def gamma(z) -> complex:
     on that disk (``LANCZOS_G7``); it is the approximation's own error,
     which grows with |Im z|.  On the real axis it is ``math.gamma``'s.
 
-    Raises PoleError at 0, -1, -2, ... and DomainError where the value or
-    an intermediate is past the double range: Re z above about 171, or
-    |Im z| above about 225 left of Re z = 1/2.
+    Raises PoleError at 0, -1, -2, ... and DomainError where the value is
+    past the double range (Re z above about 171).  Left of Re z = 1/2,
+    where sin(pi z) overflows from |Im z| of about 225 on, the reflection
+    is taken in logs (``_reflected_in_logs``), and a value below the
+    double range is 0.
     """
     z = _c(z)
     if _is_nonpositive_integer(z):
@@ -144,7 +152,7 @@ def gamma(z) -> complex:
     try:
         return _gamma(z)
     except OverflowError:
-        raise DomainError(f"gamma({z}) is past the double range") from None
+        return _reflected_in_logs(z, 1, "gamma")
 
 
 def rgamma(z) -> complex:
@@ -156,7 +164,36 @@ def rgamma(z) -> complex:
     try:
         return _rgamma(z)
     except OverflowError:
-        raise DomainError(f"rgamma({z}) is past the double range") from None
+        return _reflected_in_logs(z, -1, "rgamma")
+
+
+def _reflected_in_logs(z: complex, power: int, name: str) -> complex:
+    """Gamma(z) ** power, power = +-1, where the direct form overflows.
+
+    Left of Re z = 1/2 the overflow may be sin(pi z) alone, at large
+    |Im z|, while the value is in range: the reflection is then taken in
+    logs.  With r = z - n, n the integer nearest Re z, and s the sign of
+    Im z, log sin(pi z) = i pi n - log 2 + i s pi (1/2 - r) + log(1 -
+    e^(2 i s pi r)), whose exponential is at most 1 in size.  A value
+    past the double range raises DomainError.
+    """
+    if z.real < 0.5:
+        n = round(z.real)
+        r = z - n
+        if r == 0:  # a pole of Gamma, past the range of Gamma(1 - z)
+            return 0j
+        s = math.copysign(1.0, z.imag)
+        log_sin = (
+            1j * math.pi * (n + s * (0.5 - r))
+            - math.log(2)
+            + cmath.log(1 - cmath.exp(2j * s * math.pi * r))
+        )
+        p, e = _lanczos(1 - z)
+        try:
+            return cmath.exp(power * (math.log(math.pi) - log_sin - cmath.log(p) - e))
+        except OverflowError:
+            pass
+    raise DomainError(f"{name}({z}) is past the double range")
 
 
 def laguerre(l: int, alpha, y) -> complex:
@@ -212,6 +249,49 @@ def _kummer_m(a: complex, b: complex, z: complex):
     raise NoConvergence(f"Kummer series did not converge for M({a}, {b}, {z})")
 
 
+def _kummer_m_many(a: np.ndarray, b: np.ndarray, z: np.ndarray):
+    """``_kummer_m`` at each entry of the equal-length arrays a, b and z.
+
+    One numpy step per term serves every entry.  An entry leaves the live
+    arrays at the term where the scalar series stops, and its (sum,
+    bound) go to the output; an entry still live after
+    ``KUMMER_MAX_TERMS`` terms keeps an infinite bound, which makes it a
+    connection miss.  For a real b each factor's numerator is divided
+    part by part, as Python's complex division does it (numpy's
+    multiplies by a reciprocal), so the sums are the scalar ones bit for
+    bit.  The scalar loop is kept apart: numpy steps would slow it down.
+    """
+    s_out = np.zeros(len(z), dtype=complex)
+    bound_out = np.full(len(z), math.inf)
+    pos = np.arange(len(z))
+    s = term = np.ones(len(z), dtype=complex)
+    bound = np.ones(len(z))
+    k_min = np.maximum(3.0, -b.real)
+    real_b = not b.imag.any()
+    if real_b:
+        b = b.real
+    for k in range(KUMMER_MAX_TERMS):
+        num, den = (a + k) * z, (b + k) * (k + 1)
+        if real_b:
+            num = (num.view(float).reshape(-1, 2) / den[:, None]).view(complex).ravel()
+        else:
+            num = num / den
+        term = term * num
+        s = s + term
+        t = np.abs(term)
+        bound = bound + (k + 2) * t
+        done = (t <= EPS * np.abs(s)) & (k > k_min)
+        if done.any():
+            s_out[pos[done]], bound_out[pos[done]] = s[done], bound[done]
+            keep = ~done
+            pos, a, b, z, s, term, bound, k_min = (
+                x[keep] for x in (pos, a, b, z, s, term, bound, k_min)
+            )
+            if not len(pos):
+                break
+    return s_out, bound_out
+
+
 def _u_asymptotic(a: complex, b: complex, z: complex):
     """Descending series z^(-a) * 2F0(a, a-b+1; -1/z), optimal truncation.
 
@@ -259,24 +339,39 @@ def _connection_gammas(a: complex, b: complex):
     return g1 * _rgamma(a - b + 1), g2 * _rgamma(a)
 
 
-def _u_connection(a: complex, b: complex, z: complex):
+def _u_connection(a: complex, b: complex, z):
     """Two-term M-series connection; returns (value, relative error estimate).
 
     The estimate adds the rounding bound of each M series to the error of
     its Gamma coefficient, both scaled by the term's size against the
     value, so it grows with the cancellation between the two terms.  A
     Gamma value past the double range makes the call a miss.
+
+    ``z`` may be a 1-D array of points, which gives an array of values
+    and one estimate per point: both M series then step together in one
+    ``_kummer_m_many`` loop, and the Gamma factors are taken once.
     """
-    m1, e1 = _kummer_m(a, b, z)
-    m2, e2 = _kummer_m(a - b + 1, 2 - b, z)
+    many = isinstance(z, np.ndarray)
+    if many:
+        n = len(z)
+        m, e = _kummer_m_many(
+            np.repeat((a, a - b + 1), n), np.repeat((b, 2 - b), n), np.concatenate((z, z))
+        )
+        (m1, m2), (e1, e2) = m.reshape(2, n), e.reshape(2, n)
+        # log z as a scalar call takes it: numpy's can differ in the last bit
+        power = np.exp((1 - b) * np.array([cmath.log(x) for x in z.tolist()]))
+    else:
+        m1, e1 = _kummer_m(a, b, z)
+        m2, e2 = _kummer_m(a - b + 1, 2 - b, z)
+        power = cmath.exp((1 - b) * cmath.log(z))
     try:
         c1, c2 = _connection_gammas(a, b)
     except OverflowError:
         return math.nan, math.inf
-    c2 *= cmath.exp((1 - b) * cmath.log(z))
+    c2 = c2 * power
     val = c1 * m1 + c2 * m2
     err = EPS * (abs(c1) * e1 + abs(c2) * e2) + GAMMA_REL * (abs(c1 * m1) + abs(c2 * m2))
-    return val, err / max(abs(val), MAGNITUDE_FLOOR)
+    return val, err / (np.maximum if many else max)(abs(val), MAGNITUDE_FLOOR)
 
 
 def _u_miller(a: complex, b: complex, z: complex):
@@ -367,7 +462,7 @@ def _u_polynomial(a: complex, b: complex, z: complex) -> complex:
     return sign * fact * laguerre(l, b - 1, z)
 
 
-def hyp_u(a, b, z) -> complex:
+def hyp_u(a, b, z):
     """Irregular confluent hypergeometric function U(a, b, z), principal branch.
 
     When a or a - b + 1 is zero or a negative integer, U is a polynomial
@@ -375,20 +470,36 @@ def hyp_u(a, b, z) -> complex:
     checked before any other route, and keeps Miller's recurrence, which
     divides by a + n - 1 and a - b + n, off those lattices.
 
+    ``z`` is a scalar, which gives a builtin complex, or a 1-D numpy array
+    of points, which gives a complex array.  For an array the choices that
+    depend on a and b alone are made once.  Off the polynomial lattices,
+    and with b away from the integers, every point of the connection band
+    takes the connection route in one numpy pass (``_u_connection``).
+    Each point that misses there, and every point outside the band, is a
+    scalar call of ``hyp_u``, so each point takes the route that a scalar
+    call at it takes.
+
     Parameters
     ----------
-    a, b, z : complex
-        ``z`` must be nonzero (z = 0 is a branch point in general).
+    a, b : complex
+    z : complex or 1-D array
+        nonzero (z = 0 is a branch point in general) and finite.
 
     Raises
     ------
     BranchError
         at z = 0.
+    DomainError
+        at a non-finite a, b or z.
+    ValueError
+        for an array z of more than one dimension.
     NoConvergence
         when the Laplace integral, the last route, does not converge.
     """
     a = _c(a)
     b = _c(b)
+    if isinstance(z, np.ndarray):
+        return _hyp_u_many(a, b, _points(z, "U(a, b, z)"))
     z = _c(z)
     if z == 0:
         raise BranchError("U(a, b, z) has a branch point at z = 0")
@@ -414,6 +525,35 @@ def hyp_u(a, b, z) -> complex:
     return _u_laplace(a, b, z)
 
 
+def _points(z: np.ndarray, name: str) -> np.ndarray:
+    """A 1-D array of points as complex, checked as ``solutions.evaluate``
+    checks its points; ``name`` is the function in the error messages."""
+    z = z.astype(complex)
+    if z.ndim != 1:
+        raise ValueError(f"{name} takes a scalar or a 1-D array of points")
+    if not np.isfinite(z).all():
+        raise DomainError(f"{name} is evaluated at finite points only")
+    if (z == 0).any():
+        raise BranchError(f"{name} has a branch point at 0")
+    return z
+
+
+def _hyp_u_many(a: complex, b: complex, z: np.ndarray) -> np.ndarray:
+    """``hyp_u`` at each point of a checked 1-D array (see ``hyp_u``)."""
+    out = np.empty(len(z), dtype=complex)
+    scalar = np.ones(len(z), dtype=bool)
+    lattice = _is_nonpositive_integer(a) or _is_nonpositive_integer(a - b + 1)
+    if not lattice and abs(b - round(b.real)) >= INTEGER_B_WINDOW:
+        r = np.hypot(z.real, z.imag)  # abs(z) to the bit; np.abs can differ
+        band = np.flatnonzero((r < MILLER_MIN_Z) | ((r < ASYMPTOTIC_CUTOFF) & (z.real <= 0)))
+        if len(band):
+            out[band], err = _u_connection(a, b, z[band])
+            scalar[band] = ~np.less(err, FALLBACK_TOL)  # err is a float on a Gamma overflow
+    rest = np.flatnonzero(scalar)
+    out[rest] = [hyp_u(a, b, x) for x in z[rest].tolist()]
+    return out
+
+
 def _u_miller_or_miss(a: complex, b: complex, z: complex):
     """Miller's (value, estimate), with an infinite estimate past its depth cap,
     so that the Laplace route takes over."""
@@ -423,9 +563,11 @@ def _u_miller_or_miss(a: complex, b: complex, z: complex):
         return math.nan, math.inf
 
 
-def hyp_u_dz(a, b, z, order: int = 1) -> complex:
+def hyp_u_dz(a, b, z, order: int = 1):
     """Derivative d^k/dz^k U(a,b,z), k = order an integer >= 0, by the
-    parameter shift d^k/dz^k U(a,b,z) = (-1)^k (a)_k U(a+k, b+k, z), DLMF 13.3.22."""
+    parameter shift d^k/dz^k U(a,b,z) = (-1)^k (a)_k U(a+k, b+k, z), DLMF 13.3.22.
+
+    ``z`` is a scalar or a 1-D array of points, as for ``hyp_u``."""
     if order < 0 or int(order) != order:
         raise DomainError(f"derivative order must be a nonnegative integer, got {order}")
     a = _c(a)
@@ -535,15 +677,24 @@ def _ladder_2(a, b, w, seeds, count):
         yield gj, hj
 
 
-def whittaker_w(kappa, mu, y) -> complex:
-    """Irregular Whittaker function W_{kappa,mu}(y) expressed through U."""
+def whittaker_w(kappa, mu, y):
+    """Irregular Whittaker function W_{kappa,mu}(y) expressed through U.
+
+    ``y`` is a scalar or a 1-D array of points, as for ``hyp_u``, which
+    takes an array in one call.
+    """
     kappa = _c(kappa)
     mu = _c(mu)
-    y = _c(y)
-    if y == 0:
-        raise BranchError("W_{kappa,mu}(y) has a branch point at y = 0")
+    many = isinstance(y, np.ndarray)
+    if many:
+        y = _points(y, "W_{kappa,mu}(y)")
+    else:
+        y = _c(y)
+        if y == 0:
+            raise BranchError("W_{kappa,mu}(y) has a branch point at y = 0")
+    xp = np if many else cmath
     return (
-        cmath.exp(-y / 2)
-        * cmath.exp((mu + 0.5) * cmath.log(y))
+        xp.exp(-y / 2)
+        * xp.exp((mu + 0.5) * xp.log(y))
         * hyp_u(0.5 - kappa + mu, 2 * mu + 1, y)
     )

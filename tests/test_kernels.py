@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+import dcheun.kernels
+import dcheun.specialfn
 from dcheun.core import DcheParams
 from dcheun.errors import BranchError, ConditionError, QuadratureError
 from dcheun.kernels import (
@@ -24,6 +26,7 @@ from dcheun.kernels import (
 from dcheun.recurrence import finite_series_condition, tridiag_eigen
 from dcheun.solutions import build_pair_power, power_coeffs, r3_family
 from dcheun.specialfn import gamma
+from dcheun.tolerances import MILLER_RESCUE_Z
 
 # i eta = -1.3 satisfies the K1 condition Re(B2/2 - i eta - 1) > 0 and
 # terminates pair 1 at N = 2; i eta = -2.7 does the same for K2 / pair 2
@@ -338,3 +341,90 @@ def test_quadrature_results_are_builtin_complex():
     kw = dict(alpha=0.7, beta=1.2, y=1.5)
     assert type(appendix_integral("A1", **kw)) is complex
     assert type(appendix_integral("A2", kappa=0.1, lam=0.2, mu=0.8, a=1.5)) is complex
+
+
+def _integral_draws(n: int, seed: int):
+    """(which, kwargs) for A2, A3 and the Whittaker form, in the bench's ranges."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        if i % 3 == 2:
+            yield "W", {"kappa": rng.uniform(0.1, 0.5), "lam": rng.uniform(0.0, 0.3),
+                        "mu": rng.uniform(0.5, 1.1), "a": rng.uniform(1.0, 2.0)}
+        else:
+            yield ("A2", "A3")[i % 3], {
+                "kappa": complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2)),
+                "lam": rng.uniform(-0.3, 0.3), "mu": rng.uniform(0.45, 1.2),
+                "a": rng.uniform(0.8, 2.0)}
+
+
+def _integral(which, kw):
+    if which == "W":
+        return whittaker_index_check(kw["kappa"], kw["lam"], kw["mu"], kw["a"])
+    return appendix_integral(which, **kw)
+
+
+def test_u_integrands_call_u_once_per_quadrature_batch(monkeypatch):
+    # one hyp_u array call per batch of nodes at most; the scalar calls inside a
+    # batch are the points off the numpy pass (Miller's recurrence and the
+    # asymptotic series, at Re z > 0 and |z| >= 2), and none is Laplace's
+    real_u, real_rule = dcheun.specialfn.hyp_u, dcheun.kernels.exp_sinh
+    batches, scalars, inside = [], [], [False]
+
+    def counting_u(a, b, z):
+        if isinstance(z, np.ndarray):
+            batches[-1] += 1
+        elif inside[0]:
+            scalars.append(complex(z))
+        return real_u(a, b, z)
+
+    def counting_rule(f, p):
+        def batch(u):
+            batches.append(0)
+            inside[0] = True
+            try:
+                return f(u)
+            finally:
+                inside[0] = False
+
+        return real_rule(batch, p)
+
+    def no_laplace(a, b, z):
+        raise AssertionError(f"Laplace route taken at {(a, b, z)}")
+
+    monkeypatch.setattr(dcheun.specialfn, "hyp_u", counting_u)
+    monkeypatch.setattr(dcheun.kernels, "hyp_u", counting_u)
+    monkeypatch.setattr(dcheun.kernels, "exp_sinh", counting_rule)
+    monkeypatch.setattr(dcheun.specialfn, "_u_laplace", no_laplace)
+    for which, kw in _integral_draws(6, 24):
+        batches.clear()
+        scalars.clear()
+        _integral(which, kw)
+        # a batch whose every xi rounds to 1.0, evaluated before, calls nothing
+        assert set(batches) <= {0, 1} and sum(batches) >= 1, which
+        assert all(z.real > 0 and abs(z) >= MILLER_RESCUE_Z for z in scalars), which
+        assert len(scalars) < 60, which
+
+
+def test_u_integrands_match_the_per_node_path(monkeypatch):
+    # the array calls against one scalar call per node, as the integrands
+    # made them before U took arrays
+    draws = list(_integral_draws(9, 25))
+    got = [_integral(which, kw) for which, kw in draws]
+    real_u, real_w = dcheun.kernels.hyp_u, dcheun.kernels.whittaker_w
+
+    def per_node(f):
+        def g(first, second, z):
+            if not isinstance(z, np.ndarray):
+                return f(first, second, z)
+            return np.array([f(first, second, x) for x in z.tolist()])
+
+        return g
+
+    monkeypatch.setattr(dcheun.kernels, "hyp_u", per_node(real_u))
+    monkeypatch.setattr(dcheun.kernels, "whittaker_w", per_node(real_w))
+    for (which, kw), g in zip(draws, got):
+        want = _integral(which, kw)
+        if which == "W":  # a relative error of about 1e-15 either way
+            assert abs(g - want) <= 1e-13, kw
+        else:
+            assert abs(g - want) <= 1e-13 * abs(want), (which, kw)

@@ -29,7 +29,15 @@ from dcheun.specialfn import (
     u_ladder,
     whittaker_w,
 )
-from dcheun.tolerances import FALLBACK_TOL, LANCZOS_G7
+from dcheun.tolerances import (
+    ASYMPTOTIC_CUTOFF,
+    EPS,
+    FALLBACK_TOL,
+    INTEGER_B_WINDOW,
+    LANCZOS_G7,
+    MILLER_MIN_Z,
+    MILLER_RESCUE_Z,
+)
 
 
 def quad_u(a: float, b: float, y: float) -> float:
@@ -500,3 +508,132 @@ def test_u_derivative_order_must_be_nonnegative_integer(order):
 def test_whittaker_branch_point_rejected():
     with pytest.raises(BranchError):
         whittaker_w(0.3, 0.2, 0)
+
+
+@pytest.mark.parametrize("re", [-1.0, 0.4, 0.6])
+@pytest.mark.parametrize("im", [230.0, -230.0, 300.0, -300.0, 400.0, -400.0])
+def test_gamma_at_large_imaginary_part_against_mpmath(re, im):
+    # left of Re z = 1/2, sin(pi z) overflows from |Im z| ~ 225 on while
+    # Gamma is about 1e-208 at -1 + 300i; worst measured here: 4.4e-13,
+    # the Lanczos sum's own error, which grows with |Im z|
+    z = complex(re, im)
+    with mpmath.workdps(30):
+        ref_g, ref_r = complex(mpmath.gamma(z)), complex(mpmath.rgamma(z))
+    assert _rel(gamma(z), ref_g) <= 5e-13
+    assert _rel(rgamma(z), ref_r) <= 5e-13
+
+
+def test_gamma_reflection_in_logs_only_where_the_direct_form_overflows():
+    # rgamma past the double range still raises, and at a pole left of the
+    # range of Gamma(1 - z) it is exactly 0
+    with pytest.raises(DomainError):
+        rgamma(-1 + 450j)
+    assert rgamma(-200) == 0
+    assert gamma(-1 + 700j) == 0  # below the double range
+
+
+def _array_cases():
+    """(a, b) for the array tests: generic, b inside and just outside
+    ``INTEGER_B_WINDOW`` of an integer, both polynomial lattices, and a
+    Gamma(1 - b) past the double range."""
+    w = INTEGER_B_WINDOW
+    return [
+        (0.4 + 0.15j, 0.59), (1.3 - 0.4j, -0.7 + 0.3j), (2.2, 1.6 - 0.2j),
+        (0.7 + 0.2j, 2 + 0.5 * w), (0.7 + 0.2j, 2 + 2 * w), (0.3, -1 - 0.5 * w),
+        (-2.0, 0.6 + 0.1j), (0.3 + 0.1j, 2.3 + 0.1j), (0.5, -180.3),
+    ]
+
+
+def _array_points(seed: int, b: complex, n: int = 24) -> np.ndarray:
+    """Points on both sides of |z| = 2, 5 and 30 and of Re z = 0, plus
+    draws with |z| in [0.2, 40].  At b = -180.3 only those below |z| = 5:
+    farther out no route of a scalar call converges either."""
+    rng = np.random.default_rng(seed)
+    edges = [r * f for r in (MILLER_RESCUE_Z, MILLER_MIN_Z, ASYMPTOTIC_CUTOFF) for f in (0.999, 1.001)]
+    phases = [math.pi / 2 + d for d in (-1e-3, 1e-3)] + [-math.pi / 2 + d for d in (-1e-3, 1e-3)]
+    pts = [cmath.rect(r, rng.choice(phases)) for r in edges]
+    pts += [cmath.rect(r, rng.uniform(-0.4, 0.4)) for r in edges]
+    radii = np.exp(rng.uniform(math.log(0.2), math.log(40.0), n))
+    pts += [cmath.rect(r, rng.uniform(-math.pi, math.pi)) for r in radii]
+    pts = np.array(pts + [-3.0, 7.0 + 0j])
+    return pts[np.abs(pts) < MILLER_MIN_Z] if b.real < -100 else pts
+
+
+def _connection_band(a: complex, b: complex, z: complex) -> bool:
+    """Where an array call takes the connection route in its numpy pass."""
+    lattice = any(x.real <= 0 and x == round(x.real) for x in (a, a - b + 1))
+    r = abs(z)
+    near = abs(b - round(b.real)) < INTEGER_B_WINDOW
+    return not lattice and not near and (r < MILLER_MIN_Z or (r < ASYMPTOTIC_CUTOFF and z.real <= 0))
+
+
+@pytest.mark.parametrize("case", range(len(_array_cases())))
+def test_u_on_an_array_matches_scalar_calls(case):
+    # each point agrees with a scalar call to within the scalar connection's
+    # estimate (4 eps at least); off the numpy pass it is a scalar call
+    a, b = (complex(x) for x in _array_cases()[case])
+    z = _array_points(100 + case, b)
+    got = hyp_u(a, b, z)
+    assert got.dtype == complex and got.shape == z.shape
+    for zi, gi in zip(z.tolist(), got.tolist()):
+        ref = hyp_u(a, b, zi)
+        if _connection_band(a, b, zi):
+            tol = max(4 * EPS, _u_connection(a, b, zi)[1])
+            assert abs(gi - ref) <= tol * abs(ref), (a, b, zi)
+        else:
+            assert gi == ref, (a, b, zi)
+
+
+@pytest.mark.parametrize("case", range(len(_array_cases())))
+def test_whittaker_and_u_derivative_on_an_array(case):
+    # as for U, plus for W the rounding of its prefactor's two exponents,
+    # which numpy and cmath may place differently
+    a, b = (complex(x) for x in _array_cases()[case])
+    kappa, mu = (b - 2 * a) / 2, (b - 1) / 2  # W's U is U(a, b)
+    z = _array_points(200 + case, b)
+    for zi, gw, gd in zip(z.tolist(), whittaker_w(kappa, mu, z).tolist(), hyp_u_dz(a, b, z, 2).tolist()):
+        est = _u_connection(a, b, zi)[1] if _connection_band(a, b, zi) else 0.0
+        exponents = 1 + abs(zi) / 2 + abs((mu + 0.5) * cmath.log(zi))
+        ref_w = whittaker_w(kappa, mu, zi)
+        assert abs(gw - ref_w) <= max(4 * EPS * exponents, est) * abs(ref_w), (a, b, zi)
+        # hyp_u_dz takes U at (a + 2, b + 2)
+        est = _u_connection(a + 2, b + 2, zi)[1] if _connection_band(a + 2, b + 2, zi) else 0.0
+        ref_d = hyp_u_dz(a, b, zi, 2)
+        assert abs(gd - ref_d) <= max(4 * EPS, est) * abs(ref_d), (a, b, zi)
+
+
+@pytest.mark.parametrize("f", [lambda z: hyp_u(0.3, 0.7, z), lambda z: whittaker_w(0.2, 0.1, z)],
+                         ids=["hyp_u", "whittaker_w"])
+def test_array_points_are_checked_as_evaluate_checks_them(f):
+    with pytest.raises(ValueError):
+        f(np.ones((2, 2), dtype=complex))
+    with pytest.raises(DomainError):
+        f(np.array([1.0, np.nan]))
+    with pytest.raises(DomainError):
+        f(np.array([1.0, complex(np.inf, 0.0)]))
+    with pytest.raises(BranchError):
+        f(np.array([1.0, 0.0, 2.0]))
+    empty = f(np.array([], dtype=complex))
+    assert empty.shape == (0,) and empty.dtype == complex
+    assert f(np.array([1, 3])).dtype == complex  # integer points are taken as complex
+
+
+def test_u_array_misses_go_through_scalar_u(monkeypatch):
+    # with a gate no estimate passes, every band point is a scalar call of
+    # hyp_u, made through the module global; the values are those calls'
+    a, b = 0.4 + 0.15j, 0.59
+    z = np.array([0.5 + 0.2j, 1.5, -4.0 + 1.0j, 3.0 - 2.0j])
+    real_u, seen = dcheun.specialfn.hyp_u, []
+
+    def counting_u(a, b, z):
+        seen.append(z)
+        return real_u(a, b, z)
+
+    monkeypatch.setattr(dcheun.specialfn, "hyp_u", counting_u)
+    hyp_u(a, b, z)
+    assert seen == []  # the numpy pass answers every point
+    monkeypatch.setattr(dcheun.specialfn, "FALLBACK_TOL", 1e-300)
+    seen.clear()
+    got = hyp_u(a, b, z)
+    assert seen == z.tolist()
+    assert got.tolist() == [real_u(a, b, zi) for zi in z.tolist()]
