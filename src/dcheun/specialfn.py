@@ -29,6 +29,14 @@ it grows with the cancellation between the two connection terms.  Route
 2 takes its four Gamma factors from three Gamma evaluations; route 3
 uses no Gamma function.
 
+``hyp_u``, ``hyp_u_dz`` and ``whittaker_w`` take a scalar or a 1-D numpy
+array of points.  For an array, the points in route 2's band go through
+one numpy pass of both M series, with the Gamma factors taken once, and
+each keeps its scalar error estimate; every other point, and each point
+whose estimate misses, is a scalar call of ``hyp_u``.  So each point
+takes the route that a scalar call at it takes.  Miller's route stays
+scalar: its depth differs from point to point.
+
 U is computed on every call; nothing is kept between calls.  Along the
 terms of a series, ``u_ladder`` gives U at (a0 + n, b0 + n) or
 (a0 + n, b0 + 2n) from the two direct values at one seed term and
@@ -174,8 +182,8 @@ def _reflected_in_logs(z: complex, power: int, name: str) -> complex:
     |Im z|, while the value is in range: the reflection is then taken in
     logs.  With r = z - n, n the integer nearest Re z, and s the sign of
     Im z, log sin(pi z) = i pi n - log 2 + i s pi (1/2 - r) + log(1 -
-    e^(2 i s pi r)), whose exponential is at most 1 in size.  A value
-    past the double range raises DomainError.
+    e^(2 i s pi r)), where |e^(2 i s pi r)| <= 1, so nothing overflows.  A
+    value past the double range raises DomainError.
     """
     if z.real < 0.5:
         n = round(z.real)
@@ -256,10 +264,12 @@ def _kummer_m_many(a: np.ndarray, b: np.ndarray, z: np.ndarray):
     arrays at the term where the scalar series stops, and its (sum,
     bound) go to the output; an entry still live after
     ``KUMMER_MAX_TERMS`` terms keeps an infinite bound, which makes it a
-    connection miss.  For a real b each factor's numerator is divided
-    part by part, as Python's complex division does it (numpy's
-    multiplies by a reciprocal), so the sums are the scalar ones bit for
-    bit.  The scalar loop is kept apart: numpy steps would slow it down.
+    connection miss.  For a real b each term's factor is the scalar
+    one bit for bit: its numerator is divided part by part, as Python's
+    complex division does it, where numpy's multiplies by a reciprocal.
+    numpy's complex products and absolute values may still differ from
+    Python's in the last bit.  The scalar loop is kept apart, as one loop
+    for both shapes made a scalar call about 17% slower.
     """
     s_out = np.zeros(len(z), dtype=complex)
     bound_out = np.full(len(z), math.inf)
@@ -273,10 +283,9 @@ def _kummer_m_many(a: np.ndarray, b: np.ndarray, z: np.ndarray):
     for k in range(KUMMER_MAX_TERMS):
         num, den = (a + k) * z, (b + k) * (k + 1)
         if real_b:
-            num = (num.view(float).reshape(-1, 2) / den[:, None]).view(complex).ravel()
+            term = term * (num.view(float).reshape(-1, 2) / den[:, None]).view(complex).ravel()
         else:
-            num = num / den
-        term = term * num
+            term = term * (num / den)
         s = s + term
         t = np.abs(term)
         bound = bound + (k + 2) * t

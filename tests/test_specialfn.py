@@ -511,11 +511,13 @@ def test_whittaker_branch_point_rejected():
 
 
 @pytest.mark.parametrize("re", [-1.0, 0.4, 0.6])
-@pytest.mark.parametrize("im", [230.0, -230.0, 300.0, -300.0, 400.0, -400.0])
+@pytest.mark.parametrize("im", [226.0, -226.0, 300.0, -300.0, 400.0, -400.0])
 def test_gamma_at_large_imaginary_part_against_mpmath(re, im):
-    # left of Re z = 1/2, sin(pi z) overflows from |Im z| ~ 225 on while
-    # Gamma is about 1e-208 at -1 + 300i; worst measured here: 4.4e-13,
-    # the Lanczos sum's own error, which grows with |Im z|
+    # left of Re z = 1/2, sin(pi z) overflows from |Im z| ~ 226 on while
+    # Gamma is about 1e-208 at -1 + 300i; just below that, sin(pi z) is
+    # finite but its product with the Lanczos sum is not.  Worst measured
+    # here: 3.1e-13 (4.4e-13 over |Im z| in [200, 440] at these Re z), the
+    # Lanczos sum's own error, which grows with |Im z|
     z = complex(re, im)
     with mpmath.workdps(30):
         ref_g, ref_r = complex(mpmath.gamma(z)), complex(mpmath.rgamma(z))
@@ -534,20 +536,22 @@ def test_gamma_reflection_in_logs_only_where_the_direct_form_overflows():
 
 def _array_cases():
     """(a, b) for the array tests: generic, b inside and just outside
-    ``INTEGER_B_WINDOW`` of an integer, both polynomial lattices, and a
-    Gamma(1 - b) past the double range."""
+    ``INTEGER_B_WINDOW`` of an integer, both polynomial lattices, a
+    Gamma(1 - b) past the double range, and Re b < -3, where the M
+    series may stop only past k = -Re b."""
     w = INTEGER_B_WINDOW
     return [
         (0.4 + 0.15j, 0.59), (1.3 - 0.4j, -0.7 + 0.3j), (2.2, 1.6 - 0.2j),
         (0.7 + 0.2j, 2 + 0.5 * w), (0.7 + 0.2j, 2 + 2 * w), (0.3, -1 - 0.5 * w),
-        (-2.0, 0.6 + 0.1j), (0.3 + 0.1j, 2.3 + 0.1j), (0.5, -180.3),
+        (-2.0, 0.6 + 0.1j), (0.3 + 0.1j, 2.3 + 0.1j), (0.5, -180.3), (0.4, -6 + 3 * w),
     ]
 
 
 def _array_points(seed: int, b: complex, n: int = 24) -> np.ndarray:
-    """Points on both sides of |z| = 2, 5 and 30 and of Re z = 0, plus
-    draws with |z| in [0.2, 40].  At b = -180.3 only those below |z| = 5:
-    farther out no route of a scalar call converges either."""
+    """Points on both sides of |z| = 2, 5 and 30 and of Re z = 0, two at
+    |z| = 1e-3, and draws with |z| in [0.2, 40].  At b = -180.3 only those
+    with 0.2 <= |z| < 5: elsewhere no route of a scalar call converges
+    either."""
     rng = np.random.default_rng(seed)
     edges = [r * f for r in (MILLER_RESCUE_Z, MILLER_MIN_Z, ASYMPTOTIC_CUTOFF) for f in (0.999, 1.001)]
     phases = [math.pi / 2 + d for d in (-1e-3, 1e-3)] + [-math.pi / 2 + d for d in (-1e-3, 1e-3)]
@@ -555,8 +559,9 @@ def _array_points(seed: int, b: complex, n: int = 24) -> np.ndarray:
     pts += [cmath.rect(r, rng.uniform(-0.4, 0.4)) for r in edges]
     radii = np.exp(rng.uniform(math.log(0.2), math.log(40.0), n))
     pts += [cmath.rect(r, rng.uniform(-math.pi, math.pi)) for r in radii]
-    pts = np.array(pts + [-3.0, 7.0 + 0j])
-    return pts[np.abs(pts) < MILLER_MIN_Z] if b.real < -100 else pts
+    pts = np.array(pts + [-3.0, 7.0 + 0j, 1e-3, -1e-3j])
+    r = np.abs(pts)
+    return pts[(r >= 0.2) & (r < MILLER_MIN_Z)] if b.real < -100 else pts
 
 
 def _connection_band(a: complex, b: complex, z: complex) -> bool:
