@@ -4,8 +4,9 @@ Maps two hyperbolic Schrodinger potentials onto the equation through
 z = e^u.  The energy enters only through B3, so both spectra come from
 one energy matrix, minus the series rows at E = 0: its leading 2s+1
 block gives the algebraic part of the spectrum, and the eigenvalues of
-a deeper truncation seed the continued-fraction roots of the
-infinite-series part.  Assembles eigenfunctions (with matching of the
+the smallest leading block whose in-bracket eigenvalues have settled
+(doubling from 8 rows, at most 80) seed the continued-fraction roots of
+the infinite-series part.  Assembles eigenfunctions (with matching of the
 two series pieces when they do not terminate) and checks the regularity
 conditions psi(u) -> 0 as u -> +-infinity.  Also provides the parameter
 maps for two radial potentials that reduce to the algebraic normal forms.
@@ -49,6 +50,8 @@ from .tolerances import (
     BRACKET_SLACK,
     CF_ROOT_TOL,
     CF_SEED_ROWS,
+    CF_SEED_SETTLE,
+    CF_SEED_START,
     COMPLEX_ROOT_TOL,
     LEVEL_DEDUPE,
     MAGNITUDE_FLOOR,
@@ -198,15 +201,57 @@ def energy_coeff_factory(problem: QesProblem) -> Callable[[complex], ThreeTermCo
     return factory
 
 
+# Why infinite_spectrum drops a seed, keyed as in its "dropped" certificate.
+DROP_REASONS = {
+    "char_root": "char_root raised",
+    "complex": "complex roots",
+    "outside": "outside the bracket",
+    "duplicate": "duplicate levels",
+    "match": "match failures",
+}
+
+
+def _settled_seeds(rows: ThreeTermCoeffs, lo: float, hi: float) -> tuple:
+    """(seeds, rows used): the distinct real parts in [lo, hi] of the
+    eigenvalues of the smallest leading block of the energy matrix whose
+    in-bracket real parts have settled.
+
+    Blocks start at CF_SEED_START rows and double up to CF_SEED_ROWS.  A
+    block has settled when its seeds pair off with the previous block's:
+    the same number, each within CF_SEED_SETTLE of its partner relative to
+    max(1, |E|).  An empty set never settles, since a bracket above a small
+    block's spectrum may still hold a deeper block's eigenvalues.  The
+    block at the cap gives its seeds as they stand.
+    """
+    size, prev = CF_SEED_START, []
+    while True:
+        eigs = np.linalg.eigvals(_tridiag_matrix(rows, size))
+        seeds = sorted({v.real for v in eigs if lo <= v.real <= hi})
+        if size >= CF_SEED_ROWS or (
+            seeds
+            and len(seeds) == len(prev)
+            and all(abs(a - b) < CF_SEED_SETTLE * max(1.0, abs(a)) for a, b in zip(seeds, prev))
+        ):
+            return seeds, size
+        prev, size = seeds, min(2 * size, CF_SEED_ROWS)
+
+
 def infinite_spectrum(problem: QesProblem, bracket) -> SpectrumResult:
     """Energies from roots of the characteristic continued fraction.
 
     Starting guesses are the distinct real parts, inside ``bracket =
-    (lo, hi)``, of the eigenvalues of the regular pair's energy matrix
-    truncated at 80 rows.  Each is polished by secant iteration on the
-    characteristic value to 1e-10; complex roots are dropped, and the real
-    roots validated by an eigenfunction whose two series pieces match are
-    kept.  Raises NoRoots when the bracket contains none.
+    (lo, hi)``, of the eigenvalues of the regular pair's energy matrix,
+    truncated at the first block (8, 16, 32, 64 or 80 rows) whose
+    in-bracket real parts agree with the previous block's.  Each is
+    polished by secant iteration on the characteristic value to 1e-10;
+    complex roots are dropped, and the real roots validated by an
+    eigenfunction whose two series pieces match are kept.  Raises NoRoots
+    when the bracket contains none.
+
+    The certificates give the block's rows (``char_depth``), the number of
+    seeds tried (``seeds``) and, under ``dropped``, how many were dropped
+    for each of DROP_REASONS; the seeds are the levels plus the dropped.
+    NoRoots names the same counts.
 
     A characteristic root only guarantees that both series of the pair
     converge and solve the equation; it does not by itself make them
@@ -222,35 +267,41 @@ def infinite_spectrum(problem: QesProblem, bracket) -> SpectrumResult:
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     factory = energy_coeff_factory(problem)
-    rows = _energy_rows(problem, _series_pair_id(problem))
-    eigs = np.linalg.eigvals(_tridiag_matrix(rows, CF_SEED_ROWS))
-    seeds = sorted({v.real for v in eigs if lo <= v.real <= hi})
+    seeds, depth = _settled_seeds(_energy_rows(problem, _series_pair_id(problem)), lo, hi)
+    dropped = dict.fromkeys(DROP_REASONS, 0)
     roots = []
     for seed in seeds:
         try:
             r = char_root(factory, complex(seed), tol=CF_ROOT_TOL)
         except (DcheunError, ArithmeticError):
+            dropped["char_root"] += 1
             continue
-        if abs(r.x.imag) > COMPLEX_ROOT_TOL * max(1.0, abs(r.x)):
-            continue  # a complex characteristic root is no level
         e = r.x.real
-        if not (lo - BRACKET_SLACK <= e <= hi + BRACKET_SLACK):
-            continue
-        if any(abs(e - q) < LEVEL_DEDUPE for q in roots):
-            continue
-        # a characteristic root need not be a level: a genuine eigenvalue
-        # must admit a matched regular eigenfunction
-        try:
-            eigenfunction(problem, e)
-        except MatchFailure:
-            continue
-        roots.append(e)
+        if abs(r.x.imag) > COMPLEX_ROOT_TOL * max(1.0, abs(r.x)):
+            dropped["complex"] += 1  # a complex characteristic root is no level
+        elif not (lo - BRACKET_SLACK <= e <= hi + BRACKET_SLACK):
+            dropped["outside"] += 1
+        elif any(abs(e - q) < LEVEL_DEDUPE for q in roots):
+            dropped["duplicate"] += 1
+        else:
+            # a characteristic root need not be a level: a genuine
+            # eigenvalue must admit a matched regular eigenfunction
+            try:
+                eigenfunction(problem, e)
+            except MatchFailure:
+                dropped["match"] += 1
+            else:
+                roots.append(e)
     if not roots:
-        raise NoRoots(f"no spectrum found in [{lo}, {hi}]")
+        counts = ", ".join(f"{n} {DROP_REASONS[k]}" for k, n in dropped.items())
+        raise NoRoots(
+            f"no spectrum found in [{lo}, {hi}]: {len(seeds)} seeds from a "
+            f"{depth}-row block, dropped {counts}"
+        )
     return SpectrumResult(
         energies=sorted(roots),
         method="CONTINUED_FRACTION",
-        certificates={"char_depth": CF_SEED_ROWS},
+        certificates={"char_depth": depth, "seeds": len(seeds), "dropped": dropped},
     )
 
 

@@ -232,9 +232,24 @@ ADJOINT_GRID = [(1.0 + 0.2 * i, 1.1 + 0.2 * j) for i in range(3) for j in range(
 # complex: its real part is no root, so it is not tested as a level.
 COMPLEX_ROOT_TOL = 1e-8
 
-# Rows of the energy matrix whose eigenvalues seed the continued-fraction
-# search; deep enough that its low eigenvalues sit near the levels.
+# Cap on the rows of the energy-matrix block whose eigenvalues seed the
+# continued-fraction search: a bracket whose seeds have not settled by then
+# takes this block's.  Deep enough that its low eigenvalues sit near the
+# levels.
 CF_SEED_ROWS = 80
+
+# Rows of the first block the seed search solves; each later block doubles
+# it, up to CF_SEED_ROWS.  The first N = 2s + 1 rows of a terminating series
+# close on themselves, so a block of 8 holds every algebraic level up to
+# s = 7/2 exactly; the seeds of the bench's brackets settle by 16 or 32 rows.
+CF_SEED_START = 8
+
+# A block's in-bracket seeds have settled when each lies within this of its
+# partner in the previous block, relative to max(1, |E|).  A seed is only a
+# start for char_root, which polishes it to CF_ROOT_TOL; one that moves by
+# less than this when the block doubles polishes to the same level (within
+# 1.8e-15 over the bench's searches) as the capped block's seed.
+CF_SEED_SETTLE = 1e-6
 
 # char_root's stop for a level of the continued-fraction search.
 CF_ROOT_TOL = 1e-10

@@ -153,6 +153,20 @@ def test_spectrum_cf_recovers_algebraic_levels(capsys):
     assert energies == pytest.approx([-1.25, 0.75], abs=1e-8)
 
 
+def test_spectrum_cf_reports_its_seeds(capsys):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--potential", "double-morse",
+        "--B", "2", "--C", "0.5", "--s", "0.5",
+        "--method", "cf", "--bracket", "-3", "1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    certs = payload["certificates"]
+    assert certs["char_depth"] < 80
+    assert set(certs["dropped"]) == {"char_root", "complex", "outside", "duplicate", "match"}
+    assert certs["seeds"] == len(payload["records"]) + sum(certs["dropped"].values())
+
+
 def test_transform_sign_flip(capsys):
     code, out, _ = run_cli(capsys, "transform", "--rule", "r2", "--params", "2,2,2,i,i")
     assert code == 0

@@ -12,6 +12,7 @@ from dcheun.errors import (
     DegenerateError,
     DomainError,
     MatchFailure,
+    NoConvergence,
     NoRoots,
     NotQes,
 )
@@ -32,6 +33,7 @@ from dcheun.qes import (
 )
 from dcheun.recurrence import _tridiag_matrix
 from dcheun.solutions import build_pair_power
+from dcheun.tolerances import CF_SEED_ROWS, CF_SEED_START
 
 from conftest import fd_schrodinger_spectrum
 
@@ -263,12 +265,82 @@ def test_complex_characteristic_roots_are_not_tested_as_levels(monkeypatch):
 
     monkeypatch.setattr(dcheun.qes, "char_root", recording_root)
     monkeypatch.setattr(dcheun.qes, "eigenfunction", counting_efn)
-    with pytest.raises(NoRoots):
+    with pytest.raises(NoRoots) as caught:
         infinite_spectrum(QesProblem("SECOND_TYPE", B=3.14, s=2.5), (-20.0, 20.0))
     complex_roots = [x for x in roots if abs(x.imag) > 1e-8 * max(1.0, abs(x))]
     assert complex_roots
     assert len(tested) == len(roots) - len(complex_roots)
+    # the refusal names every seed it dropped, and why
+    message = str(caught.value)
+    assert f"{len(roots)} seeds" in message
+    assert f"{len(complex_roots)} complex roots" in message
+    assert f"{len(tested)} match failures" in message
     assert not any(abs(e - x.real) <= 1e-12 * max(1.0, abs(x)) for e in tested for x in complex_roots)
+
+
+def test_failed_char_roots_are_counted(monkeypatch):
+    def failing_root(*args, **kw):
+        raise NoConvergence("secant wandered")
+
+    monkeypatch.setattr(dcheun.qes, "char_root", failing_root)
+    with pytest.raises(NoRoots, match=r"3 seeds from a 16-row block, dropped 3 char_root raised"):
+        infinite_spectrum(QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.5), (-3.0, 2.0))
+
+
+def capped_search(monkeypatch, prob, bracket):
+    """infinite_spectrum with its first seed block at the cap: the seeds of
+    the fixed CF_SEED_ROWS-row truncation."""
+    with monkeypatch.context() as m:
+        m.setattr(dcheun.qes, "CF_SEED_START", CF_SEED_ROWS)
+        return infinite_spectrum(prob, bracket)
+
+
+def test_settled_seeds_give_the_capped_levels(rng, monkeypatch):
+    for _ in range(24):
+        prob = QesProblem("DOUBLE_MORSE", B=float(rng.uniform(0.5, 4.0)),
+                          C=float(rng.uniform(0.0, 2.0)), s=float(rng.integers(0, 7)) / 2)
+        levels = sorted(e.real for e in qes_spectrum(prob).energies)
+        bracket = (levels[0] - 0.25, levels[-1] + 0.25)
+        sp = infinite_spectrum(prob, bracket)
+        capped = capped_search(monkeypatch, prob, bracket)
+        assert capped.certificates["char_depth"] == CF_SEED_ROWS
+        assert sp.energies == pytest.approx(capped.energies, rel=1e-12, abs=1e-12)
+        certs = sp.certificates
+        assert CF_SEED_START < certs["char_depth"] < CF_SEED_ROWS
+        assert certs["seeds"] == len(sp.energies) + sum(certs["dropped"].values())
+
+
+@pytest.mark.parametrize("prob,bracket,capped", [
+    # a low bracket draws eigenvalues from deeper rows: 64 rows here
+    (QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.5), (-400.0, 10.0), False),
+    # these never settle, and take the capped block's seeds
+    (QesProblem("DOUBLE_MORSE", B=4.0, C=1.0, s=1.0), (-2000.0, 50.0), True),
+    # the 8- and 16-row blocks hold no eigenvalue in the bracket, but a
+    # deeper block seeds the level -12.7277 of the 17-row algebraic block
+    (QesProblem("DOUBLE_MORSE", B=8.0, C=0.0, s=8.0), (-12.83, -12.63), False),
+], ids=["low_bracket", "deep_bracket", "empty_small_blocks"])
+def test_seed_block_grows_with_the_bracket(prob, bracket, capped, monkeypatch):
+    sp = infinite_spectrum(prob, bracket)
+    depth = sp.certificates["char_depth"]
+    assert depth == CF_SEED_ROWS if capped else 2 * CF_SEED_START < depth < CF_SEED_ROWS
+    assert sp.energies == pytest.approx(capped_search(monkeypatch, prob, bracket).energies, abs=1e-12)
+    # at s = 8 the 17-row tridiagonal solve is 1.05e-7 off the level, which
+    # the continued fraction and the FD oracle give to 1e-9
+    levels = sorted(e.real for e in qes_spectrum(prob).energies)
+    assert sp.energies == pytest.approx([e for e in levels if bracket[0] <= e <= bracket[1]], abs=1e-6)
+
+
+@pytest.mark.parametrize("prob,bracket", [
+    (QesProblem("DOUBLE_MORSE", B=2.0, C=0.5, s=0.5), (-3.0, 1.0)),
+    (QesProblem("DOUBLE_MORSE", B=1.0, C=1.0, s=2.5), (-4.6, 2.0)),
+    (QesProblem("DOUBLE_MORSE", B=2.0, C=0.0, s=0.5), (-400.0, 10.0)),
+])
+def test_zero_settle_tolerance_runs_to_the_cap(prob, bracket, monkeypatch):
+    sized = infinite_spectrum(prob, bracket)
+    monkeypatch.setattr(dcheun.qes, "CF_SEED_SETTLE", 0.0)
+    capped = infinite_spectrum(prob, bracket)
+    assert capped.certificates["char_depth"] == CF_SEED_ROWS
+    assert capped.energies == pytest.approx(sized.energies, abs=1e-12)
 
 
 @pytest.mark.parametrize("prob", [QesProblem("DOUBLE_MORSE", B=2.3, C=0.4, s=1.5),
@@ -276,7 +348,7 @@ def test_complex_characteristic_roots_are_not_tested_as_levels(monkeypatch):
 def test_seed_matrix_is_real(prob):
     # real entries give a real matrix, so the seed eigensolve takes the real
     # LAPACK routine; its eigenvalues are those of the complex solve
-    m = _tridiag_matrix(_energy_rows(prob, _series_pair_id(prob)), 80)
+    m = _tridiag_matrix(_energy_rows(prob, _series_pair_id(prob)), CF_SEED_ROWS)
     assert m.dtype == np.float64
     real, cplx = np.linalg.eigvals(m), np.linalg.eigvals(m.astype(complex))
     for a, b in ((real, cplx), (cplx, real)):
